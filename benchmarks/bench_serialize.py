@@ -1,9 +1,9 @@
 """Wire-format serialization: legacy-vs-vectorized throughput bench.
 
-Measures the PR-3 serialization tentpole: the seed ``BitWriter`` kept a
-per-bit Python list (``extend(bool(b) for b in array)`` per write, one
-``bool`` object per payload bit), while the vectorized writer appends
-whole numpy chunks and packs once.  Cases:
+Measures the serializer's vectorized ``BitWriter`` against the original
+per-bit Python list writer (``extend(bool(b) for b in array)`` per
+write, one ``bool`` object per payload bit), plus the wire-v3 writer's
+end-to-end costs.  Cases:
 
 * ``bitwriter_payload`` -- build a ~10^6-bit RELEASE-DB-shaped payload
   (packed boolean matrix plus a fixed-width uint section) with the legacy
@@ -16,27 +16,19 @@ whole numpy chunks and packs once.  Cases:
 * ``sketch_file_round_trip`` -- end-to-end ``dump``/``load`` latency of
   framed sketch files (SUBSAMPLE, RELEASE-DB, Count-Min): the cost of
   actually crossing the (S, Q) process boundary.
-* ``header_overhead`` -- the PR-5 wire-v2 tentpole, constant-factor leg:
-  per-frame header bytes (frame minus payload) under v1's JSON extras vs
-  v2's binary varint fields, on every counter-summary codec at small
-  ``k``.  The acceptance gate is *strict*: v2's header must be smaller
-  than v1's on every case.
-* ``chunked_stream`` -- the PR-5 streaming leg: a RELEASE-DB-sized frame
-  encoded/decoded through a file object in bounded windows
-  (``dump_to``/``load_from``), with and without zlib.  Records
-  throughput, the maximum single write/read (the memory-bound evidence),
-  and the compression ratio; asserts no write or read ever exceeds one
-  chunk window while the round trip stays bit-identical.
-* ``sparse_delta`` -- the PR-10 wire-v3 codec leg: sparse counter
-  summaries dumped as v2 frames vs v3 records (which pick the cheapest
-  of raw / varint-delta / zlib per payload).  The gate is *strict in the
-  weak direction*: v3 never stores more payload bytes than v2 on any
-  case, while the charged ``n_bits`` stays exactly equal.
-* ``container_ops`` -- the PR-10 container leg: pack a 64-shard fleet
-  with ``ContainerWriter``, then measure a full sequential decode
-  against one manifest-driven lazy load.  Asserts the partial load
-  touches far less than the whole container (open cost is header +
-  manifest only, load cost is one record).
+* ``sparse_delta`` -- sparse counter summaries dumped as v3 records,
+  which store the cheapest of raw / varint-delta / zlib per payload,
+  against their raw packed payload.  The gate is *strict in the weak
+  direction*: the stored bytes never exceed the raw payload on any case,
+  while the charged ``n_bits`` stays exactly ``size_in_bits()``.  The
+  ``count-min-partial`` case is a streaming pipeline partial (count-min
+  4 x 65536 after one 131072-item Zipf batch), where pricing the delta
+  layout dominates the cost of a dump.
+* ``container_ops`` -- pack a 64-shard fleet with ``ContainerWriter``,
+  then measure a full sequential decode against one manifest-driven lazy
+  load.  Asserts the partial load touches far less than the whole
+  container (open cost is header + manifest only, load cost is one
+  record).
 
 Writes ``BENCH_serialize.json`` (repo root).  Run directly::
 
@@ -49,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -193,107 +186,20 @@ def bench_round_trip(n: int, d: int, repeats: int) -> dict:
     return {"config": {"n": n, "d": d}, "cases": cases}
 
 
-def bench_header_overhead() -> dict:
-    """v1 JSON headers vs v2 binary varint headers, per codec at small k."""
-    from repro.experiments import measure_frame_overhead
-    from repro.streaming import (
-        LossyCounting,
-        MisraGries,
-        SpaceSaving,
-        StickySampling,
+def _pipeline_partial():
+    """A stream-pipeline partial: count-min 4 x 65536, one Zipf batch."""
+    from repro.streaming.traffic import zipf_traffic
+
+    cms = CountMinSketch(1 << 20, 65_536, 4, rng=1)
+    batch = next(
+        zipf_traffic(1 << 20, batch_items=131_072, total_items=131_072, rng=2)
     )
-
-    stream = np.random.default_rng(4).integers(0, 100, size=600, dtype=np.int64)
-    counter_summaries = {
-        "count-min": CountMinSketch(100, 32, 3, rng=0),
-        "misra-gries": MisraGries(100, 8),
-        "space-saving": SpaceSaving(100, 8),
-        "lossy-counting": LossyCounting(100, 0.05),
-        "sticky-sampling": StickySampling(100, 0.02, 0.1, rng=0),
-    }
-    cases = {}
-    for name, summary in counter_summaries.items():
-        summary.update_many(stream)
-        row = measure_frame_overhead(summary)
-        assert row["v2_header_bytes"] < row["v1_header_bytes"], (
-            f"{name}: v2 header {row['v2_header_bytes']:.0f} B not strictly "
-            f"below v1's {row['v1_header_bytes']:.0f} B"
-        )
-        cases[name] = {key: int(value) for key, value in row.items()}
-    return {"config": {"universe": 100, "k": 8, "stream": len(stream)}, "cases": cases}
-
-
-def bench_chunked_stream(n: int, d: int, chunk_bytes: int, repeats: int) -> dict:
-    """Chunked v2 frames through a file object: throughput + memory bound."""
-    import io
-
-    class SpyStream(io.BytesIO):
-        def __init__(self, data=b""):
-            super().__init__(data)
-            self.max_write = 0
-            self.max_read = 0
-
-        def write(self, data):
-            self.max_write = max(self.max_write, len(data))
-            return super().write(data)
-
-        def read(self, size=-1):
-            data = super().read(size)
-            self.max_read = max(self.max_read, len(data))
-            return data
-
-    db = random_database(n, d, density=0.3, rng=6)
-    p = SketchParams(n=n, d=d, k=2, epsilon=0.05, delta=0.1)
-    sketch = ReleaseDbSketcher(Task.FORALL_ESTIMATOR).sketch(db, p, rng=0)
-    payload_bits = sketch.size_in_bits()
-    cases = {}
-    for label, compress in (("plain", False), ("zlib", True)):
-        def encode():
-            spy = SpyStream()
-            wire.dump_to(
-                sketch, spy, version=2, compress=compress, chunk_bytes=chunk_bytes
-            )
-            return spy
-
-        encode_time, spy = _time(encode, repeats)
-        frame = spy.getvalue()
-
-        def decode():
-            reader = SpyStream(frame)
-            clone = wire.load_from(reader)
-            return reader, clone
-
-        decode_time, (reader, clone) = _time(decode, repeats)
-        assert clone.size_in_bits() == payload_bits
-        np.testing.assert_array_equal(clone.database.rows, sketch.database.rows)
-        # The memory-bound evidence: no single write or read touches more
-        # than one chunk window, so the full payload is never materialized
-        # on either side of the file boundary.
-        assert spy.max_write <= chunk_bytes, "encode materialized beyond one chunk"
-        assert reader.max_read <= chunk_bytes, "decode materialized beyond one chunk"
-        cases[label] = {
-            "frame_bytes": len(frame),
-            "stored_over_payload": len(frame) / max(1, (payload_bits + 7) // 8),
-            "encode_seconds": encode_time,
-            "decode_seconds": decode_time,
-            "encode_mbits_per_sec": payload_bits / encode_time / 1e6,
-            "decode_mbits_per_sec": payload_bits / decode_time / 1e6,
-            "max_single_write": spy.max_write,
-            "max_single_read": reader.max_read,
-        }
-    return {
-        "config": {
-            "n": n,
-            "d": d,
-            "payload_bits": payload_bits,
-            "chunk_bytes": chunk_bytes,
-        },
-        "cases": cases,
-    }
+    cms.update_many(batch)
+    return cms
 
 
 def bench_sparse_delta(universe: int, k: int, n_items: int, repeats: int) -> dict:
-    """v2 vs v3 stored payload bytes on sparse counter summaries."""
+    """v3 stored payload bytes vs the raw payload on sparse summaries."""
     import io
 
     from repro.streaming import MisraGries, SpaceSaving, StickySampling
@@ -305,36 +211,37 @@ def bench_sparse_delta(universe: int, k: int, n_items: int, repeats: int) -> dic
         "space-saving": SpaceSaving(universe, k),
         "sticky-sampling": StickySampling(universe, 0.02, 0.1, rng=0),
     }
+    for summary in subjects.values():
+        summary.update_many(stream)
+    subjects["count-min-partial"] = _pipeline_partial()
     cases = {}
     for name, summary in subjects.items():
-        summary.update_many(stream)
-        v2_time, v2_frame = _time(lambda s=summary: wire.dump(s, version=2), repeats)
-        v3_time, v3_frame = _time(lambda s=summary: wire.dump(s, version=3), repeats)
-        v2_info = wire.inspect_frame(io.BytesIO(v2_frame))
-        v3_info = wire.inspect_frame(io.BytesIO(v3_frame))
-        assert v3_info.stored_payload_bytes <= v2_info.stored_payload_bytes, (
-            f"{name}: v3 stored {v3_info.stored_payload_bytes} B exceeds "
-            f"v2's {v2_info.stored_payload_bytes} B"
+        dump_time, frame = _time(lambda s=summary: wire.dump(s), repeats)
+        load_time, clone = _time(lambda f=frame: wire.load(f), repeats)
+        info = wire.inspect_frame(io.BytesIO(frame))
+        raw_bytes = (info.n_bits + 7) // 8
+        assert info.stored_payload_bytes <= raw_bytes, (
+            f"{name}: v3 stored {info.stored_payload_bytes} B exceeds the "
+            f"raw payload's {raw_bytes} B"
         )
-        assert v3_info.n_bits == v2_info.n_bits == summary.size_in_bits(), (
-            f"{name}: charged bits drifted across versions"
-        )
-        clone = wire.load(v3_frame)
-        assert wire.dump(clone, version=2) == v2_frame, (
-            f"{name}: v3 round trip is not bit-identical"
-        )
+        assert info.n_bits == summary.size_in_bits(), f"{name}: charged bits drifted"
+        assert wire.dump(clone) == frame, f"{name}: round trip is not bit-identical"
         cases[name] = {
-            "payload_bits": v2_info.n_bits,
-            "v2_stored_bytes": v2_info.stored_payload_bytes,
-            "v3_stored_bytes": v3_info.stored_payload_bytes,
-            "v3_delta_encoded": v3_info.delta,
-            "stored_ratio": v3_info.stored_payload_bytes
-            / max(1, v2_info.stored_payload_bytes),
-            "v2_dump_seconds": v2_time,
-            "v3_dump_seconds": v3_time,
+            "payload_bits": info.n_bits,
+            "raw_payload_bytes": raw_bytes,
+            "v3_stored_bytes": info.stored_payload_bytes,
+            "v3_delta_encoded": info.delta,
+            "stored_ratio": info.stored_payload_bytes / max(1, raw_bytes),
+            "dump_seconds": dump_time,
+            "load_seconds": load_time,
         }
     return {
-        "config": {"universe": universe, "k": k, "stream": n_items},
+        "config": {
+            "universe": universe,
+            "k": k,
+            "stream": n_items,
+            "count_min_partial": "4 x 65536, one 131072-item Zipf(1.2) batch",
+        },
         "cases": cases,
     }
 
@@ -414,8 +321,6 @@ def run(quick: bool = False, out_path: Path = DEFAULT_OUT) -> dict:
             "bitwriter_payload": bench_bitwriter_payload(15_360, 64, 400, repeats),
             "quantized_answers": bench_quantized_answers(20_000, 0.01, repeats),
             "sketch_file_round_trip": bench_round_trip(1024, 16, repeats),
-            "header_overhead": bench_header_overhead(),
-            "chunked_stream": bench_chunked_stream(4096, 24, 1 << 14, repeats),
             "sparse_delta": bench_sparse_delta(1 << 16, 16, 20_000, repeats),
             "container_ops": bench_container_ops(64, 4096, 64, repeats),
         }
@@ -424,8 +329,6 @@ def run(quick: bool = False, out_path: Path = DEFAULT_OUT) -> dict:
             "bitwriter_payload": bench_bitwriter_payload(15_360, 64, 400, repeats),
             "quantized_answers": bench_quantized_answers(100_000, 0.01, repeats),
             "sketch_file_round_trip": bench_round_trip(4096, 24, repeats),
-            "header_overhead": bench_header_overhead(),
-            "chunked_stream": bench_chunked_stream(32_768, 32, 1 << 16, repeats),
             "sparse_delta": bench_sparse_delta(1 << 20, 32, 200_000, repeats),
             "container_ops": bench_container_ops(64, 65_536, 256, repeats),
         }
@@ -437,7 +340,7 @@ def run(quick: bool = False, out_path: Path = DEFAULT_OUT) -> dict:
     )
     record = {
         "benchmark": "serialize",
-        "pr": 10,
+        "cpu_count": os.cpu_count(),
         "quick": quick,
         "results": results,
     }
@@ -459,25 +362,13 @@ def test_serializer_speedup_quick():
     )
     assert tentpole["speedup"] >= MIN_SPEEDUP
     assert record["results"]["quantized_answers"]["speedup"] > 1.0
-    for name, case in record["results"]["header_overhead"]["cases"].items():
-        print(
-            f"header_overhead {name}: v1 {case['v1_header_bytes']} B -> "
-            f"v2 {case['v2_header_bytes']} B (saved {case['header_savings_bytes']} B)"
-        )
-        assert case["v2_header_bytes"] < case["v1_header_bytes"]
-    for label, case in record["results"]["chunked_stream"]["cases"].items():
-        print(
-            f"chunked_stream {label}: {case['encode_mbits_per_sec']:.0f} / "
-            f"{case['decode_mbits_per_sec']:.0f} Mbit/s enc/dec, "
-            f"max write {case['max_single_write']} B"
-        )
     for name, case in record["results"]["sparse_delta"]["cases"].items():
         print(
-            f"sparse_delta {name}: v2 {case['v2_stored_bytes']} B -> "
+            f"sparse_delta {name}: raw {case['raw_payload_bytes']} B -> "
             f"v3 {case['v3_stored_bytes']} B stored "
             f"({'delta' if case['v3_delta_encoded'] else 'raw/zlib'})"
         )
-        assert case["v3_stored_bytes"] <= case["v2_stored_bytes"]
+        assert case["v3_stored_bytes"] <= case["raw_payload_bytes"]
     ops = record["results"]["container_ops"]
     print(
         f"container_ops: {ops['config']['n_shards']} shards in "
@@ -509,7 +400,8 @@ def main(argv: list[str] | None = None) -> int:
     for name, case in record["results"]["sparse_delta"]["cases"].items():
         print(
             f"sparse_delta {name}: stored ratio "
-            f"{case['stored_ratio']:.2f} (v3/v2)"
+            f"{case['stored_ratio']:.2f} (v3 stored / raw payload), dump "
+            f"{case['dump_seconds'] * 1e3:.1f} ms"
         )
     ops = record["results"]["container_ops"]
     print(

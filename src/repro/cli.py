@@ -10,9 +10,9 @@ Thirteen commands cover the library's everyday entry points:
 * ``mine``        -- mine frequent itemsets from a transaction file,
   exactly or through a sketch;
 * ``sketch``      -- run ``S``: build a sketch of a transaction file and
-  stream its wire-format bit string to disk (``--wire-version`` selects
-  the frame layout, ``--compress`` a zlib v2 payload -- the charged bit
-  count never changes);
+  stream its wire-format bit string to disk as a wire-v3 frame
+  (``--compress`` lets a zlib payload compete for the stored bytes --
+  the charged bit count never changes);
 * ``query``       -- run ``Q``: answer an itemset query from a sketch
   file alone, in a separate process from the one that saw the data;
 * ``merge``       -- fold two or more serialized summary shard files
@@ -89,7 +89,6 @@ from .mining import apriori
 from .params import SketchParams
 from .server.protocol import DEFAULT_MAX_FRAME_BYTES, DEFAULT_PORT
 from .streaming.pipeline import SUMMARY_KINDS
-from .wire import SUPPORTED_WIRE_VERSIONS, WIRE_VERSION
 
 __all__ = ["main", "build_parser"]
 
@@ -205,15 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
              "available, else numpy)",
     )
     sketch.add_argument(
-        "--wire-version", type=int, choices=sorted(SUPPORTED_WIRE_VERSIONS),
-        default=None,
-        help="frame layout version (default: REPRO_WIRE_VERSION env or "
-             f"{WIRE_VERSION})",
-    )
-    sketch.add_argument(
         "--compress", action="store_true",
-        help="store a zlib-compressed v2 payload (the charged size_in_bits "
-             "is still the uncompressed bit count)",
+        help="let a zlib-compressed payload compete for the stored bytes "
+             "(the charged size_in_bits is still the uncompressed bit count)",
     )
 
     query = sub.add_parser(
@@ -273,14 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="seed for the sampling-based merge rules (reservoirs)",
     )
     merge.add_argument(
-        "--wire-version", type=int, choices=sorted(SUPPORTED_WIRE_VERSIONS),
-        default=None,
-        help="frame layout version for the merged output (default: "
-             f"REPRO_WIRE_VERSION env or {WIRE_VERSION})",
-    )
-    merge.add_argument(
         "--compress", action="store_true",
-        help="store the merged frame with a zlib-compressed v2 payload",
+        help="let a zlib-compressed payload compete for the merged frame's "
+             "stored bytes",
     )
 
     inspect = sub.add_parser(
@@ -404,14 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the final summary as a sketch frame file",
     )
     stream.add_argument(
-        "--wire-version", type=int, choices=sorted(SUPPORTED_WIRE_VERSIONS),
-        default=None,
-        help="frame layout version for --out (default: REPRO_WIRE_VERSION "
-             f"env or {WIRE_VERSION})",
-    )
-    stream.add_argument(
         "--compress", action="store_true",
-        help="store --out with a zlib-compressed v2 payload",
+        help="let a zlib-compressed payload compete for --out's stored bytes",
     )
     stream.add_argument(
         "--connect", metavar="HOST:PORT", default=None,
@@ -561,7 +543,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_frame_file(obj, out_path: str, *, version, compress) -> int:
+def _write_frame_file(obj, out_path: str, *, compress: bool) -> int:
     """Stream one frame to ``out_path`` without clobbering it on failure.
 
     The frame is drained into a sibling temp file and renamed over the
@@ -575,7 +557,7 @@ def _write_frame_file(obj, out_path: str, *, version, compress) -> int:
     tmp_path = f"{out_path}.tmp"
     try:
         with open(tmp_path, "wb") as stream:
-            frame_bytes = dump_to(obj, stream, version=version, compress=compress)
+            frame_bytes = dump_to(obj, stream, compress=compress)
         os.replace(tmp_path, out_path)
     finally:
         if os.path.exists(tmp_path):
@@ -608,7 +590,7 @@ def _cmd_sketch(args: argparse.Namespace) -> int:
         )
         sketch = sketcher.sketch(db, params, rng=args.seed)
         frame_bytes = _write_frame_file(
-            sketch, args.out, version=args.wire_version, compress=args.compress
+            sketch, args.out, compress=args.compress
         )
     except (ReproError, OSError) as exc:
         print(f"cannot sketch {args.path}: {exc}", file=sys.stderr)
@@ -732,19 +714,18 @@ def _cmd_merge(args: argparse.Namespace) -> int:
 
     from .errors import ReproError, WireFormatError
     from .streaming.merge import merge_payloads
-    from .wire import WIRE_V3, ContainerReader, peek_wire_version
+    from .wire import shard_file
 
     try:
-        # Count contributed shards up front: a container path folds in
+        # Count contributed shards up front: a fleet container folds in
         # one shard per manifest entry, a frame file exactly one.
         n_shards = 0
         for path in args.shards:
             with open(path, "rb") as stream:
-                if peek_wire_version(stream.read(5)) == WIRE_V3:
-                    stream.seek(0)
-                    n_shards += len(ContainerReader.open(stream))
-                else:
-                    n_shards += 1
+                try:
+                    n_shards += len(shard_file(stream, Path(path).stem).names)
+                except WireFormatError as exc:
+                    raise WireFormatError(f"{path}: {exc}") from exc
         with ExitStack() as stack:
             opened = []
 
@@ -761,7 +742,7 @@ def _cmd_merge(args: argparse.Namespace) -> int:
                 if stream.read(1):
                     raise WireFormatError(f"trailing garbage after frame in {path}")
         frame_bytes = _write_frame_file(
-            merged, args.out, version=args.wire_version, compress=args.compress
+            merged, args.out, compress=args.compress
         )
     except (ReproError, OSError) as exc:
         print(f"cannot merge shards: {exc}", file=sys.stderr)
@@ -780,13 +761,7 @@ def _cmd_pack(args: argparse.Namespace) -> int:
     import os
 
     from .errors import ReproError
-    from .wire import (
-        WIRE_V3,
-        ContainerReader,
-        ContainerWriter,
-        load_from,
-        peek_wire_version,
-    )
+    from .wire import ContainerReader, ContainerWriter, load, shard_file
 
     tmp_path = f"{args.out}.tmp"
     try:
@@ -794,20 +769,15 @@ def _cmd_pack(args: argparse.Namespace) -> int:
             with open(tmp_path, "wb") as out:
                 writer = ContainerWriter(out, compress=args.compress)
                 for path in args.shards:
-                    stem = Path(path).stem
-                    with open(path, "rb") as stream:
-                        if peek_wire_version(stream.read(5)) == WIRE_V3:
-                            # A container input: re-pack its shards under
-                            # their manifest names.
-                            reader = ContainerReader.open(
-                                io.BytesIO(Path(path).read_bytes())
-                            )
-                            for i, entry in enumerate(reader.entries):
-                                name = entry.name or f"{stem}-{i}"
-                                writer.add(name, reader.load(entry))
-                        else:
-                            stream.seek(0)
-                            writer.add(stem, load_from(stream))
+                    data = Path(path).read_bytes()
+                    shards = shard_file(data, Path(path).stem)
+                    if shards.container is None:
+                        writer.add(shards.names[0], load(data))
+                        continue
+                    # A fleet input: re-pack its shards under their names.
+                    reader = ContainerReader.open(io.BytesIO(data))
+                    for name, entry in zip(shards.names, reader.entries):
+                        writer.add(name, reader.load(entry))
                 entries = writer.close()
             os.replace(tmp_path, args.out)
         finally:
@@ -833,14 +803,13 @@ def _cmd_pack(args: argparse.Namespace) -> int:
 def _cmd_inspect(args: argparse.Namespace) -> int:
     """Describe a sketch file from its frame header, payload undecoded."""
     from .errors import ReproError
-    from .wire import WIRE_V3, inspect_container, inspect_frame, peek_wire_version
+    from .wire import inspect_frame, shard_file
 
     try:
         with open(args.path, "rb") as stream:
-            if peek_wire_version(stream.read(5)) == WIRE_V3:
-                stream.seek(0)
-                return _print_container_info(args.path, inspect_container(stream))
-            stream.seek(0)
+            shards = shard_file(stream, Path(args.path).stem)
+            if shards.container is not None:
+                return _print_container_info(args.path, shards)
             info = inspect_frame(stream)
     except (ReproError, OSError) as exc:
         print(f"cannot inspect {args.path}: {exc}", file=sys.stderr)
@@ -850,6 +819,8 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
         layout.append("zlib")
     if info.chunked:
         layout.append("chunked")
+    if info.delta:
+        layout.append("delta")
     print(f"file: {args.path} ({info.frame_bytes} bytes)")
     print(f"codec: {info.codec}   wire version: {info.version}")
     print(f"params: {info.params.describe() if info.params else '(none)'}")
@@ -864,8 +835,9 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     return 0 if info.crc_ok else 1
 
 
-def _print_container_info(path: str, info) -> int:
-    """Render ``inspect_container`` output: meta, codec table, manifest."""
+def _print_container_info(path: str, shards) -> int:
+    """Render a fleet's ``inspect_container`` view: meta, codecs, manifest."""
+    info = shards.container
     print(f"file: {path} ({info.container_bytes} bytes, container)")
     print(
         f"wire version: {info.version}   shards: {len(info.entries)}   "
@@ -877,9 +849,9 @@ def _print_container_info(path: str, info) -> int:
         f"layout: header {info.header_bytes} bytes, manifest at offset "
         f"{info.manifest_offset}"
     )
-    for entry in info.entries:
+    for name, entry in zip(shards.names, info.entries):
         print(
-            f"  {entry.name or '(anonymous)'}: {entry.codec}, "
+            f"  {name}: {entry.codec}, "
             f"{entry.n_bits} bits charged, {entry.record_bytes} bytes "
             f"stored at offset {entry.offset}"
         )
@@ -1110,7 +1082,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             summary = pipeline.run(batches)
             elapsed = time.perf_counter() - began
         frame_bytes = _write_frame_file(
-            summary, args.out, version=args.wire_version, compress=args.compress
+            summary, args.out, compress=args.compress
         )
     except (ReproError, OSError) as exc:
         print(f"cannot stream {args.source}: {exc}", file=sys.stderr)
@@ -1132,19 +1104,14 @@ def _cmd_push(args: argparse.Namespace) -> int:
 
     from .errors import ProtocolError, ReproError
     from .server import Client
-    from .wire import WIRE_V3, ContainerReader, peek_wire_version
+    from .wire import ContainerReader, shard_file
 
     try:
         frame = Path(args.path).read_bytes()
         host, port = _parse_connect(args.connect)
-        reader = None
-        if peek_wire_version(frame) == WIRE_V3:
+        shards = shard_file(frame, Path(args.path).stem)
+        if shards.container is not None:
             reader = ContainerReader.open(io.BytesIO(frame))
-            if len(reader) == 1 and reader.entries[0].name == "":
-                # A plain `dump(version=3)` sketch file: one anonymous
-                # frame, pushed like any other frame under the file stem.
-                reader = None
-        if reader is not None:
             if args.name is not None:
                 raise ProtocolError(
                     "--name does not apply to a multi-shard container; "
@@ -1155,7 +1122,7 @@ def _cmd_push(args: argparse.Namespace) -> int:
             ) as client:
                 results = client.load_many(reader)
         else:
-            name = args.name if args.name else Path(args.path).stem
+            name = args.name if args.name else shards.names[0]
             with Client(
                 host, port, retry=_retry_policy(args, mutating=True)
             ) as client:

@@ -103,17 +103,11 @@ and :class:`~repro.db.serialize.BitReader` are the payload primitives --
 vectorized (whole-chunk numpy appends, one :func:`numpy.packbits` pass,
 batched fixed-width integer fields) and strict on read (byte length must
 match the declared bit count exactly; trailing padding must be zero).
-:mod:`repro.wire` frames payloads for transport (v1 frozen, v2 default)::
-
-    v1: magic "IFSK" | 1 | codec id | params | extras JSON | n_bits | payload | crc32
-    v2: magic "IFSK" | 2 | codec id | flags | varint params | varint fields
-        | n_bits | payload (varint length, or u32 chunks) | crc32
-
-Wire v2 adds zlib payload compression and chunked streaming
-(``dump_to``/``load_from`` over file objects, backed by
-:meth:`~repro.db.serialize.BitWriter.iter_packed` and
-:meth:`~repro.db.serialize.BitReader.windowed`); the *charged* size is
-invariant -- ``n_bits`` is always the uncompressed payload length.
+:mod:`repro.wire` frames payloads for transport.  It writes one layout,
+wire v3 (a container of CRC-checked records whose stored payload is raw,
+delta-coded, or zlib, whichever is smallest); v1 and v2 frames stay
+readable forever.  The *charged* size is invariant -- ``n_bits`` is
+always the uncompressed payload length.
 
 * **Payload vs header** -- the payload carries exactly the bits the
   summary's ``size_in_bits`` accounting charges (the registry contract is

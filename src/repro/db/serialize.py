@@ -20,16 +20,13 @@ length must match the declared bit count exactly and the zero padding in the
 final byte must actually be zero, so a frame whose accounting lies about its
 payload is rejected instead of silently accepted.
 
-Both ends are also *stream-first* (the wire-format v2 transport):
-:meth:`BitWriter.iter_packed` / :meth:`BitWriter.flush_to` drain the packed
-payload incrementally in bounded windows (freeing the buffer as they go),
-and :meth:`BitReader.windowed` reads sequentially from an iterator of byte
-chunks holding only one window of unpacked bits at a time -- giant payloads
-cross a file boundary without either side materializing the full byte
-string.
+The reader is also *stream-first*: :meth:`BitReader.windowed` reads
+sequentially from an iterator of byte chunks holding only one window of
+unpacked bits at a time, so a chunked or zlib payload read from a file
+decodes without materializing the full byte string.
 
-The module additionally provides the byte-level varint primitives the v2
-frame header is built from: unsigned LEB128 (:func:`encode_uvarint` /
+The module additionally provides the byte-level varint primitives the
+wire frame headers are built from: unsigned LEB128 (:func:`encode_uvarint` /
 :func:`read_uvarint`) and zigzag-mapped signed LEB128
 (:func:`encode_svarint` / :func:`read_svarint`).  Encodings are canonical
 (no padded continuation groups) and decoding rejects non-canonical or
@@ -71,7 +68,7 @@ _MAX_VARINT_BYTES = 10
 
 
 # ----------------------------------------------------------------------
-# Varint primitives (LEB128 + zigzag): the v2 frame header's integers.
+# Varint primitives (LEB128 + zigzag): the wire frame headers' integers.
 # ----------------------------------------------------------------------
 def encode_uvarint(value: int) -> bytes:
     """Encode a non-negative integer as canonical unsigned LEB128."""
@@ -282,11 +279,9 @@ class BitWriter:
     def __init__(self) -> None:
         self._chunks: list[np.ndarray] = []
         self._n_bits = 0
-        self._drained = False
 
     def write_bit(self, bit: bool | int) -> None:
         """Append a single bit."""
-        self._require_not_drained()
         self._chunks.append(np.array([bool(bit)]))
         self._n_bits += 1
 
@@ -296,17 +291,9 @@ class BitWriter:
         The chunk is copied, so callers may reuse or mutate scratch
         buffers after writing without corrupting the payload.
         """
-        self._require_not_drained()
         arr = np.array(bits, dtype=bool, copy=True).reshape(-1)
         self._chunks.append(arr)
         self._n_bits += arr.size
-
-    def _require_not_drained(self) -> None:
-        if self._drained:
-            raise SketchSizeError(
-                "BitWriter already drained by iter_packed/flush_to; "
-                "its payload left in byte-aligned windows"
-            )
 
     def write_uint(self, value: int, width: int) -> None:
         """Append a ``width``-bit unsigned integer, MSB first."""
@@ -346,67 +333,12 @@ class BitWriter:
 
     def getvalue(self) -> bytes:
         """Packed payload (zero padded to a byte boundary)."""
-        self._require_not_drained()
         if not self._n_bits:
             return b""
         if len(self._chunks) > 1:
             # Coalesce so repeated getvalue calls stay cheap.
             self._chunks = [np.concatenate(self._chunks)]
         return np.packbits(self._chunks[0].astype(np.uint8)).tobytes()
-
-    def iter_packed(self, chunk_bytes: int = DEFAULT_CHUNK_BYTES) -> Iterator[bytes]:
-        """Yield the packed payload as byte windows, draining the buffer.
-
-        Every window except the last is exactly ``chunk_bytes`` long; the
-        last carries the tail (zero padded to a byte boundary, like
-        :meth:`getvalue`).  Buffered chunks are *consumed* as they are
-        packed, so peak memory is one window rather than the full payload
-        -- this is what lets wire-format v2 stream RELEASE-DB-sized frames
-        through a file object.  After the call the writer is drained:
-        further writes or :meth:`getvalue` raise (the emitted windows are
-        byte aligned, so appending bits would corrupt the stream).
-        ``n_bits`` keeps reporting the total written.
-        """
-        self._require_not_drained()
-        if chunk_bytes < 1:
-            raise SketchSizeError(f"chunk_bytes must be >= 1, got {chunk_bytes}")
-        self._drained = True
-        pending: deque[np.ndarray] = deque(self._chunks)
-        self._chunks = []
-
-        def windows() -> Iterator[bytes]:
-            chunk_bits = chunk_bytes * 8
-            buffered: list[np.ndarray] = []
-            buffered_bits = 0
-            while pending:
-                arr = pending.popleft()
-                buffered.append(arr)
-                buffered_bits += arr.size
-                if buffered_bits >= chunk_bits:
-                    run = np.concatenate(buffered) if len(buffered) > 1 else buffered[0]
-                    n_full = (run.size // chunk_bits) * chunk_bits
-                    packed = np.packbits(run[:n_full].astype(np.uint8)).tobytes()
-                    for start in range(0, len(packed), chunk_bytes):
-                        yield packed[start : start + chunk_bytes]
-                    buffered = [run[n_full:]] if run.size > n_full else []
-                    buffered_bits = run.size - n_full
-            if buffered_bits:
-                tail = np.concatenate(buffered) if len(buffered) > 1 else buffered[0]
-                yield np.packbits(tail.astype(np.uint8)).tobytes()
-
-        return windows()
-
-    def flush_to(self, stream: IO[bytes], chunk_bytes: int = DEFAULT_CHUNK_BYTES) -> int:
-        """Drain the packed payload into ``stream`` in bounded windows.
-
-        Returns the number of bytes written (``ceil(n_bits / 8)``).  The
-        writer is drained afterwards, exactly as with :meth:`iter_packed`.
-        """
-        written = 0
-        for window in self.iter_packed(chunk_bytes):
-            stream.write(window)
-            written += len(window)
-        return written
 
 
 class BitReader:
@@ -446,7 +378,7 @@ class BitReader:
     def windowed(cls, chunks: Iterable[bytes], n_bits: int) -> "BitReader":
         """A reader over an *iterator of byte chunks* with bounded memory.
 
-        The wire-format v2 decode path: payload windows arrive from a file
+        The chunked/zlib decode path: payload windows arrive from a file
         (or a decompressor) one at a time, and only the bits of the
         currently buffered windows are held unpacked.  The same frame
         invariants as the eager constructor are enforced, just lazily:

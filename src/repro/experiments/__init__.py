@@ -12,7 +12,6 @@ from .registry import EXPERIMENTS, Experiment, experiment_by_id
 from .report import (
     format_series,
     format_table,
-    frame_overhead_columns,
     print_experiment_header,
     size_columns,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "log_slope",
     "format_table",
     "format_series",
-    "frame_overhead_columns",
     "print_experiment_header",
     "size_columns",
 ]

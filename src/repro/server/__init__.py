@@ -14,7 +14,7 @@ Every message (both directions) is length-framed::
 
 Request bodies open with an opcode byte; ``name`` is a length-prefixed
 ASCII string (``u8(len) bytes``), ``uvarint`` is canonical LEB128 (the
-v2 frame primitive), ``f64`` is big-endian IEEE 754::
+wire frames' primitive), ``f64`` is big-endian IEEE 754::
 
     request   := op:u8 fields
     LOAD(1)   := name frame_bytes                # frame_bytes = one IFSK frame

@@ -3,7 +3,7 @@
 One message grammar serves both directions (see :mod:`repro.server` for
 the full frame grammar).  Every message is a 4-byte big-endian length
 followed by exactly that many body bytes; bodies are built from the same
-primitives as the v2 sketch frames (:func:`~repro.db.serialize.
+primitives as the wire-v3 sketch frames (:func:`~repro.db.serialize.
 encode_uvarint` varints, length-prefixed ASCII names, IEEE f64s), and
 the ``LOAD`` body embeds a complete IFSK frame verbatim -- the file
 format *is* the socket payload, one codec path end to end.

@@ -55,7 +55,7 @@ from ..params import SketchParams
 from ..streaming.base import StreamSummary
 from ..streaming.merge import merge_summaries
 from ..db.generators import as_rng
-from ..wire import codec_for, dump, load_from, payload_size_bits
+from ..wire import codec_for, dump, load_from
 from .protocol import DEFAULT_MAX_FRAME_BYTES, EntryInfo, StatInfo
 
 __all__ = ["RegistryEntry", "SketchRegistry"]
@@ -125,11 +125,14 @@ class SketchRegistry:
 
     @staticmethod
     def _make_entry(name: str, obj: Any) -> RegistryEntry:
+        # The charged size in closed form: size_in_bits() equals the
+        # encoded payload's n_bits for every codec (the wire suite
+        # asserts it), so no payload encode runs to learn it.
         return RegistryEntry(
             name=name,
             obj=obj,
             codec=codec_for(obj).name,
-            size_in_bits=payload_size_bits(obj),
+            size_in_bits=obj.size_in_bits(),
         )
 
     # -- verbs ----------------------------------------------------------

@@ -111,6 +111,8 @@ class SketchServer:
         )
         self._server: asyncio.base_events.Server | None = None
         self._conn_tasks: set[asyncio.Task] = set()
+        #: Writers of connections waiting between requests (none started).
+        self._idle: set[asyncio.StreamWriter] = set()
         self._draining = False
         self._compacting = False
 
@@ -118,6 +120,11 @@ class SketchServer:
     def active_connections(self) -> int:
         """Connections currently being served (excludes BUSY-shed ones)."""
         return len(self._conn_tasks)
+
+    @property
+    def idle_connections(self) -> int:
+        """Served connections waiting between requests, none in flight."""
+        return len(self._idle)
 
     # -- lifecycle ------------------------------------------------------
     async def start(self) -> None:
@@ -138,14 +145,19 @@ class SketchServer:
     async def shutdown(self, grace: float | None = 10.0) -> None:
         """Graceful drain: refuse new work, finish in-flight, then stop.
 
-        The listener closes first (new connections are refused), live
-        connections get up to ``grace`` seconds to finish the request
-        they are on -- each hangs up after its next response -- and any
-        straggler past the grace period is cancelled.  The attached
-        store (if any) is closed last, after the final journal append.
+        The listener closes first (new connections are refused) and
+        connections idle between requests are closed at once -- they
+        hold no work, so waiting on them would only stall the drain.  A
+        connection with a request in flight gets up to ``grace`` seconds
+        to finish it and hangs up after that response; any straggler
+        past the grace period is cancelled.  The attached store (if any)
+        is closed last, after the final journal append.
         """
         self._draining = True
-        await self.close()
+        if self._server is not None:
+            self._server.close()
+        for writer in self._idle:
+            writer.close()  # the reader sees EOF and the handler exits
         pending = {t for t in self._conn_tasks if not t.done()}
         if pending:
             _done, stragglers = await asyncio.wait(pending, timeout=grace)
@@ -153,6 +165,7 @@ class SketchServer:
                 task.cancel()
             if stragglers:
                 await asyncio.gather(*stragglers, return_exceptions=True)
+        await self.close()
         if self.store is not None:
             self.store.close()
 
@@ -197,12 +210,15 @@ class SketchServer:
         self._conn_tasks.add(task)
         try:
             while True:
+                self._idle.add(writer)
                 try:
                     header = await self._read_exactly(reader, 4)
                 except asyncio.IncompleteReadError:
                     break  # clean EOF between messages, or mid-prefix
                 except asyncio.TimeoutError:
                     break  # idle past the timeout: reclaim the slot
+                finally:
+                    self._idle.discard(writer)
                 (length,) = struct.unpack(">I", header)
                 if not 1 <= length <= self.max_frame_bytes:
                     # The framing itself is broken; answer once and hang
@@ -483,36 +499,29 @@ def preload_files(
     re-loading the file would merge-fold the sketch into itself and
     double its counts.
 
-    A multi-frame v3 container preloads every shard it manifests, named
-    by manifest entry (anonymous shards fall back to ``<stem>-<index>``);
-    each shard is spliced out lazily, so only one record is resident at
-    a time.  Single-frame files (any wire version) load under the file
-    stem as before.
+    A fleet container preloads every shard it manifests, named by
+    :func:`repro.wire.shard_file` (manifest name, or ``<stem>-<index>``
+    for an anonymous shard); each shard is spliced out lazily, so only
+    one record is resident at a time.  A single-frame file (any wire
+    version) loads under the file stem.
     """
     import io
     import pathlib
 
-    from ..wire import WIRE_V3, ContainerReader, peek_wire_version
+    from ..wire import ContainerReader, shard_file
 
     names = []
     for raw in paths:
         path = pathlib.Path(raw)
         data = path.read_bytes()
-        if peek_wire_version(data) == WIRE_V3:
+        shards = shard_file(data, path.stem)
+        reader = None
+        if shards.container is not None:
             reader = ContainerReader.open(io.BytesIO(data))
-            if len(reader) != 1 or reader.entries[0].name:
-                # Fleet container: one lazy extract per shard, so only
-                # one record is duplicated in memory at a time.
-                for i, entry in enumerate(reader.entries):
-                    name = entry.name or f"{path.stem}-{i}"
-                    if skip_resident and name in registry:
-                        continue
-                    registry.load(name, reader.extract(entry))
-                    names.append(name)
+        for i, name in enumerate(shards.names):
+            if skip_resident and name in registry:
                 continue
-        name = path.stem
-        if skip_resident and name in registry:
-            continue
-        registry.load(name, data)
-        names.append(name)
+            frame = data if reader is None else reader.extract(reader.entries[i])
+            registry.load(name, frame)
+            names.append(name)
     return names

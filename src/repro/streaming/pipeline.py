@@ -182,11 +182,10 @@ def _frame_capacity(spec: SummarySpec) -> int:
     Every pipeline summary kind has fill-independent payload accounting
     (slot-capacity encoding: ``payload n_bits == size_in_bits()`` whether
     empty or full), so an empty summary's frame bounds a full one's up to
-    header varint growth -- covered by the fixed slack.
+    header varint growth -- covered by the fixed slack.  The payload size
+    is the closed form ``size_in_bits()``, not an encode.
     """
-    from ..wire import payload_size_bits
-
-    return 512 + (payload_size_bits(spec.build()) + 7) // 8
+    return 512 + (spec.build().size_in_bits() + 7) // 8
 
 
 def _partial_sketch_kernel(arrays, outs, lo, hi, params) -> None:

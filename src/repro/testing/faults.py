@@ -184,10 +184,9 @@ class FaultyProxy:
         """Stop accepting and tear down every live relay (idempotent)."""
         self._closing = True
         if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
+            # shutdown() first: on Linux a bare close() does not wake the
+            # thread blocked in accept(), which would sit out its join.
+            _shutdown_quietly(self._listener)
         with self._lock:
             sockets = list(self._open_sockets)
         for sock in sockets:

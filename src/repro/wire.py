@@ -10,72 +10,40 @@ length *is* the size the lower bounds are compared against: for every
 registered codec, ``obj.size_in_bits() == n_bits`` of the encoded payload,
 exactly.
 
-Three frame versions are in service.  Version 1 (the original container)
-is frozen: every committed v1 frame decodes bit-identically forever, and
-:func:`encode_frame` still emits byte-identical v1 frames on request.
-Version 2 is the default frame layout (frozen behind golden fixtures):
-binary varint headers, optional zlib payload compression, and chunked
-payloads that stream through file objects.  Version 3 is a *multi-frame
-container*: many named shards in one file behind a trailing manifest, so
-encoding streams in one pass and decoding can seek straight to one shard
-without touching the rest.
+One layout is written: version 3, the *multi-frame container*.  Every
+encode -- :func:`dump`, :func:`dump_to`, :func:`encode_frame`, each
+summary's ``to_bytes``, :class:`ContainerWriter` -- goes through the same
+v3 record writer.  A plain sketch file is a container holding a single
+anonymous frame; a fleet file holds many named shards behind a trailing
+manifest, so encoding streams in one pass and decoding can seek straight
+to one shard without touching the rest.  Versions 1 and 2 are
+*read-only*: every frame a v1 or v2 build ever wrote (files, WAL records,
+snapshots) still decodes through :func:`decode_frame` / :func:`read_frame`
+/ :func:`load`, which dispatch by the version byte, and golden fixtures
+under ``tests/fixtures/`` pin that promise.
 
-Version 1 layout (all multi-byte header fields big-endian)::
-
-    magic      4 bytes   b"IFSK"
-    version    u8        1
-    codec      u8 + n    length-prefixed ASCII codec name
-    has_params u8        1 if a SketchParams block follows
-    params     32 bytes  n u64, d u32, k u32, epsilon f64, delta f64
-    extras     u32 + n   length-prefixed canonical JSON (codec metadata)
-    n_bits     u64       exact payload length in bits
-    payload    bytes     ceil(n_bits / 8) bytes, zero padded
-    crc32      u32       CRC-32 of every preceding byte
-
-Version 2 layout (varint = canonical unsigned LEB128, svarint = zigzag
-LEB128; fixed-width fields big-endian)::
-
-    magic      4 bytes   b"IFSK"
-    version    u8        2
-    codec      u8 + n    length-prefixed ASCII codec name
-    flags      u8        bit0 PARAMS, bit1 ZLIB, bit2 CHUNKED
-    params     varint n, varint d, varint k, f64 epsilon, f64 delta
-                         (present iff PARAMS)
-    extras     varint field count, then per field (sorted by key):
-                 key      u8 + n    length-prefixed ASCII field name
-                 tag      u8        0 int, 1 float, 2 bool, 3 str
-                 value    svarint / f64 / u8 / varint + UTF-8 bytes
-    n_bits     varint    exact *uncompressed* payload length in bits
-    payload    not CHUNKED: varint stored byte length, then the bytes
-               CHUNKED:     repeated [u32 length, chunk bytes], ended by
-                            a u32 zero sentinel
-    crc32      u32       running CRC-32 of every preceding byte
-
-When ZLIB is set the stored payload bytes are a zlib stream whose
-decompressed length is ``ceil(n_bits / 8)``.  **The charged size never
-changes**: ``n_bits`` is always the uncompressed bit count, so
-``size_in_bits() == n_bits`` holds with and without compression --
-compression is transport thrift, not accounting thrift, exactly as the
-lower bounds require (they constrain the information content, and a
-deflated frame carries the same information).
-
-Version 3 layout -- the multi-frame container (varint as in v2; u32/u64
-big-endian; crc32 fields cover every byte of their own section only)::
+Version 3 layout (varint = canonical unsigned LEB128, svarint = zigzag
+LEB128; u32/u64 big-endian; crc32 fields cover every byte of their own
+section only)::
 
     container  := magic u8(3) meta codec_table u32(header crc32)
                   { u8(0x01) record }*  u8(0x00) manifest
                   u32(manifest crc32) footer
-    meta       := the v2 extras encoding (varint field count, then
-                  sorted key/tag/value fields) -- container-level
-                  metadata, e.g. a snapshot's {"last_seq": seq}
+    meta       := fields -- container-level metadata, e.g. a snapshot's
+                  {"last_seq": seq}
+    fields     := varint field count, then per field (sorted by key):
+                    key      u8 + n    length-prefixed ASCII field name
+                    tag      u8        0 int, 1 float, 2 bool, 3 str
+                    value    svarint / f64 / u8 / varint + UTF-8 bytes
     codec_table:= varint count, then per codec u8 + n length-prefixed
                   ASCII name; unique, non-empty -- the dictionary that
                   records reference by index instead of repeating names
     record     := varint codec_index, flags u8 (bit0 PARAMS, bit1 ZLIB,
-                  bit3 DELTA; ZLIB and DELTA mutually exclusive, never
-                  CHUNKED), params and extras as in v2, varint n_bits,
-                  varint stored byte length, stored bytes,
-                  u32(record crc32)
+                  bit3 DELTA; ZLIB and DELTA mutually exclusive),
+                  params (varint n, varint d, varint k, f64 epsilon,
+                  f64 delta; present iff PARAMS), fields (the codec's
+                  header), varint n_bits, varint stored byte length,
+                  stored bytes, u32(record crc32)
     manifest   := varint count, then per entry: u8 + n shard name
                   (unique when non-empty; "" = anonymous), varint
                   codec_index, varint offset (of the record's first
@@ -87,13 +55,17 @@ big-endian; crc32 fields cover every byte of their own section only)::
                   b"KSFI" -- 16 fixed bytes, so a seeking reader finds
                   the manifest by reading the file tail
 
-When DELTA is set the stored bytes are a sparse row encoding of the
-packed payload: varint popcount followed by varint-encoded gaps between
-consecutive set-bit positions (gap 0 is the first position, later gaps
-exclude the predecessor itself).  The writer picks the smallest stored
-representation per record -- raw packed bytes, delta, or zlib -- and the
-charged ``n_bits`` stays the uncompressed bit count in every case, same
-accounting rule as ZLIB.
+The writer stores each record's payload in the smallest of three forms:
+the raw packed bytes; DELTA, a sparse row encoding (varint popcount
+followed by varint-encoded gaps between consecutive set-bit positions --
+gap 0 is the first position, later gaps exclude the predecessor itself),
+chosen when strictly smaller than raw; or, when ``compress=True``, ZLIB,
+chosen when strictly smaller than both.  **The charged size never
+changes**: ``n_bits`` is always the uncompressed bit count, so
+``size_in_bits() == n_bits`` holds in every form -- compression is
+transport thrift, not accounting thrift, exactly as the lower bounds
+require (they constrain the information content, and a smaller stored
+form carries the same information).
 
 The manifest trails the records so :class:`ContainerWriter` streams an
 unbounded fleet in one pass, while :class:`ContainerReader` (seekable
@@ -103,13 +75,47 @@ O(header + manifest + that record) bytes.  :func:`iter_container_frames`
 / :func:`iter_container_objects` are the sequential one-pass siblings
 (sockets, pipes) holding at most one undecoded frame, and
 :func:`inspect_container` skims structure and CRCs without decoding any
-payload.  A *single anonymous frame* wrapped in a container is how v3
-flows through every frame-shaped channel (``dump(version=3)``, a socket
-LOAD body, a WAL record): :func:`read_frame` / :func:`load` accept
-exactly that shape and refuse multi-frame containers, which go through
-the container entry points.  The server's persistence snapshot is an
-ordinary v3 container whose meta carries the journal watermark, so
-``repro compact`` output is directly ``repro push``-able.
+payload.  A *single anonymous frame* is how v3 flows through every
+frame-shaped channel (a sketch file, a socket LOAD body, a WAL record):
+:func:`read_frame` / :func:`load` accept exactly that shape and refuse
+multi-frame containers, which go through the container entry points
+(:func:`is_single_frame` tells the two apart).  The server's persistence
+snapshot is an ordinary v3 container whose meta carries the journal
+watermark, so ``repro compact`` output is directly ``repro push``-able.
+
+The read-only layouts, for reference.  Version 1 (all multi-byte header
+fields big-endian)::
+
+    magic      4 bytes   b"IFSK"
+    version    u8        1
+    codec      u8 + n    length-prefixed ASCII codec name
+    has_params u8        1 if a SketchParams block follows
+    params     32 bytes  n u64, d u32, k u32, epsilon f64, delta f64
+    extras     u32 + n   length-prefixed canonical JSON (codec metadata)
+    n_bits     u64       exact payload length in bits
+    payload    bytes     ceil(n_bits / 8) bytes, zero padded
+    crc32      u32       CRC-32 of every preceding byte
+
+Version 2::
+
+    magic      4 bytes   b"IFSK"
+    version    u8        2
+    codec      u8 + n    length-prefixed ASCII codec name
+    flags      u8        bit0 PARAMS, bit1 ZLIB, bit2 CHUNKED
+    params     as in a v3 record (present iff PARAMS)
+    extras     fields, as in v3
+    n_bits     varint    exact *uncompressed* payload length in bits
+    payload    not CHUNKED: varint stored byte length, then the bytes
+               CHUNKED:     repeated [u32 length, chunk bytes], ended by
+                            a u32 zero sentinel
+    crc32      u32       running CRC-32 of every preceding byte
+
+Chunked and zlib v2 frames read from a stream decode windowed:
+:func:`load_from` hands codecs a :meth:`~repro.db.serialize.BitReader.windowed`
+reader that pulls chunks from the file as bits are consumed, verifying
+the running CRC when the final chunk arrives.  :func:`inspect_frame`
+reads any version's header (and checks the CRC by skimming) without
+decoding the payload at all.
 
 The *payload* carries exactly the bits the sketch's size accounting
 charges; the header carries only public parameters (shapes, universe
@@ -118,34 +124,22 @@ sizes, stream lengths, hash-family metadata) in the same spirit as
 metadata, not payload.  Decoding is strict: bad magic, unknown codec or
 version, truncated or oversized buffers, checksum mismatches, misdeclared
 bit counts, and nonzero padding all raise
-:class:`~repro.errors.WireFormatError`.  :func:`decode_frame`,
-:func:`read_frame`, and :func:`load` dispatch by the version byte, so both
-generations decode through one entry point.
-
-Chunked v2 frames are stream-first end to end: :func:`dump_to` drains the
-payload through :meth:`~repro.db.serialize.BitWriter.iter_packed` in
-bounded windows (never materializing the packed byte string), and
-:func:`load_from` hands codecs a windowed
-:meth:`~repro.db.serialize.BitReader.windowed` that pulls chunks from the
-file as bits are consumed, verifying the running CRC when the final chunk
-arrives.  :func:`inspect_frame` reads the header (and checks the CRC by
-skimming) without decoding the payload at all.
+:class:`~repro.errors.WireFormatError`.
 
 Codecs are registered per *sketcher name* (``release-db``, ``subsample``,
 ...) and dispatch by concrete summary type, so
 :class:`~repro.core.hybrid.BestOfNaiveSketcher` -- whose output is always
 one of the three naive sketch types -- round-trips through whichever codec
 matches the sketch it actually built.  Every codec encodes into and
-decodes from a single :class:`Header` builder (typed fields, one
-serialization of both the v1 JSON block and the v2 binary fields) instead
-of hand-rolling extras dicts.
+decodes from a single :class:`Header` builder (typed fields, written as a
+v3 record's binary fields; v1 JSON and v2 binary headers decode into the
+same view) instead of hand-rolling extras dicts.
 """
 
 from __future__ import annotations
 
 import io
 import json
-import os
 import struct
 import zlib
 from abc import ABC, abstractmethod
@@ -174,7 +168,7 @@ from .db.serialize import (
 )
 from .errors import ReproError, SketchSizeError, WireFormatError
 from .params import SketchParams
-from .streaming.base import COUNT_BITS, StreamSummary, item_id_bits
+from .streaming.base import COUNT_BITS, item_id_bits
 from .streaming.count_min import CountMinSketch
 from .streaming.itemset_stream import StreamingItemsetMiner
 from .streaming.lossy_counting import LossyCounting
@@ -188,11 +182,7 @@ __all__ = [
     "WIRE_V1",
     "WIRE_V2",
     "WIRE_V3",
-    "WIRE_VERSION",
     "SUPPORTED_WIRE_VERSIONS",
-    "WIRE_VERSION_ENV",
-    "DEFAULT_CHUNK_BYTES",
-    "default_wire_version",
     "peek_wire_version",
     "Header",
     "Frame",
@@ -205,6 +195,8 @@ __all__ = [
     "iter_container_frames",
     "iter_container_objects",
     "inspect_container",
+    "ShardFile",
+    "shard_file",
     "SketchCodec",
     "register_codec",
     "codec_names",
@@ -225,11 +217,8 @@ MAGIC = b"IFSK"
 WIRE_V1 = 1
 WIRE_V2 = 2
 WIRE_V3 = 3
+#: Versions this build reads; it writes only :data:`WIRE_V3`.
 SUPPORTED_WIRE_VERSIONS = (WIRE_V1, WIRE_V2, WIRE_V3)
-#: The current default frame version for new encodes.
-WIRE_VERSION = WIRE_V2
-#: Environment override for the default (the CI compat leg sets it to 1).
-WIRE_VERSION_ENV = "REPRO_WIRE_VERSION"
 
 _PARAMS_STRUCT = struct.Struct(">QIIdd")
 
@@ -259,31 +248,6 @@ _FIELD_STR = 3
 _MAX_HEADER_FIELDS = 1024
 
 
-def default_wire_version() -> int:
-    """The frame version new encodes use when none is requested.
-
-    :data:`WIRE_VERSION` (currently 2) unless the
-    :data:`WIRE_VERSION_ENV` environment variable selects a supported
-    version explicitly -- the hook the forced-v1 CI compatibility leg
-    uses.
-    """
-    raw = os.environ.get(WIRE_VERSION_ENV)
-    if raw is None:
-        return WIRE_VERSION
-    try:
-        version = int(raw)
-    except ValueError:
-        raise WireFormatError(
-            f"{WIRE_VERSION_ENV}={raw!r} is not a wire version number"
-        ) from None
-    if version not in SUPPORTED_WIRE_VERSIONS:
-        raise WireFormatError(
-            f"{WIRE_VERSION_ENV}={version} unsupported "
-            f"(this build writes {SUPPORTED_WIRE_VERSIONS})"
-        )
-    return version
-
-
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise WireFormatError(message)
@@ -297,12 +261,12 @@ class Header:
 
     On encode a codec fills the builder -- :meth:`set_params` for the
     public :class:`SketchParams` block, :meth:`set` for typed metadata
-    fields -- and the frame writer serializes it once (canonical JSON
-    under v1, binary varint fields under v2).  On decode the codec reads
-    the same fields back through the typed getters, every failure
-    surfacing as :class:`WireFormatError`.  Field values are restricted
-    to the scalar types both serializations carry losslessly: ``bool``,
-    ``int``, ``float``, ``str``.
+    fields -- and the record writer serializes it once as binary varint
+    fields.  On decode the codec reads the same fields back through the
+    typed getters, whichever version wrote them (v1 stored them as
+    canonical JSON), every failure surfacing as :class:`WireFormatError`.
+    Field values are restricted to the scalar types every version carries
+    losslessly: ``bool``, ``int``, ``float``, ``str``.
     """
 
     __slots__ = ("params", "_fields")
@@ -624,33 +588,8 @@ def _validate_codec_name(codec: str) -> bytes:
 
 
 # ----------------------------------------------------------------------
-# Version 1: frozen encode (byte-identical forever) and stream decode.
+# Version 1 (read-only): fixed-width header, JSON extras.
 # ----------------------------------------------------------------------
-def _encode_frame_v1(
-    codec: str,
-    params: SketchParams | None,
-    extras: Mapping[str, Any],
-    payload: bytes,
-    n_bits: int,
-) -> bytes:
-    name = _validate_codec_name(codec)
-    parts = [MAGIC, bytes([WIRE_V1]), bytes([len(name)]), name]
-    if params is None:
-        parts.append(b"\x00")
-    else:
-        parts.append(b"\x01")
-        parts.append(
-            _PARAMS_STRUCT.pack(params.n, params.d, params.k, params.epsilon, params.delta)
-        )
-    blob = json.dumps(dict(extras), sort_keys=True, separators=(",", ":")).encode()
-    parts.append(struct.pack(">I", len(blob)))
-    parts.append(blob)
-    parts.append(struct.pack(">Q", n_bits))
-    parts.append(payload)
-    body = b"".join(parts)
-    return body + struct.pack(">I", zlib.crc32(body) & 0xFFFFFFFF)
-
-
 def _read_header_v1(reader: _CrcReader) -> tuple[str, Header, int]:
     """Parse a v1 frame through its ``n_bits`` field (magic/version done)."""
     name_len = reader.read(1)[0]
@@ -688,19 +627,8 @@ def _read_frame_v1(reader: _CrcReader) -> Frame:
 
 
 # ----------------------------------------------------------------------
-# Version 2: varint binary header, optional zlib, chunked streaming.
+# Version 2 (read-only): varint binary header, optional zlib, chunked.
 # ----------------------------------------------------------------------
-def _deflate(chunks: Iterable[bytes], level: int = 6) -> Iterator[bytes]:
-    deflater = zlib.compressobj(level)
-    for chunk in chunks:
-        out = deflater.compress(chunk)
-        if out:
-            yield out
-    tail = deflater.flush()
-    if tail:
-        yield tail
-
-
 def _inflate(
     chunks: Iterable[bytes], window: int = DEFAULT_CHUNK_BYTES
 ) -> Iterator[bytes]:
@@ -776,7 +704,7 @@ def _finalize_payload(
 
 
 def _write_params_block(writer: _CrcWriter, params: SketchParams) -> None:
-    """The varint params block shared by v2 headers and v3 records."""
+    """The varint params block of a v3 record (v2 headers share it)."""
     writer.write(
         encode_uvarint(params.n) + encode_uvarint(params.d) + encode_uvarint(params.k)
     )
@@ -784,7 +712,7 @@ def _write_params_block(writer: _CrcWriter, params: SketchParams) -> None:
 
 
 def _write_fields(writer: _CrcWriter, fields: Mapping[str, Any]) -> None:
-    """Sorted typed fields (count-prefixed): v2 extras, v3 extras and meta."""
+    """Sorted typed fields (count-prefixed): v3 record extras and meta."""
     items = sorted(fields.items())
     writer.write(encode_uvarint(len(items)))
     for key, value in items:
@@ -810,65 +738,6 @@ def _write_fields(writer: _CrcWriter, fields: Mapping[str, Any]) -> None:
             raise WireFormatError(
                 f"header field {key!r} has unsupported type {type(value).__name__}"
             )
-
-
-def _write_header_v2(
-    writer: _CrcWriter,
-    name: bytes,
-    params: SketchParams | None,
-    fields: Mapping[str, Any],
-    n_bits: int,
-    *,
-    compress: bool,
-    chunked: bool,
-) -> None:
-    flags = (
-        (_FLAG_PARAMS if params is not None else 0)
-        | (_FLAG_ZLIB if compress else 0)
-        | (_FLAG_CHUNKED if chunked else 0)
-    )
-    writer.write(MAGIC)
-    writer.write(bytes([WIRE_V2, len(name)]))
-    writer.write(name)
-    writer.write(bytes([flags]))
-    if params is not None:
-        _write_params_block(writer, params)
-    _write_fields(writer, fields)
-    writer.write(encode_uvarint(n_bits))
-
-
-def _write_frame_v2(
-    stream: IO[bytes],
-    codec: str,
-    params: SketchParams | None,
-    fields: Mapping[str, Any],
-    payload_chunks: Iterable[bytes],
-    n_bits: int,
-    *,
-    compress: bool,
-    chunked: bool,
-) -> int:
-    name = _validate_codec_name(codec)
-    writer = _CrcWriter(stream)
-    _write_header_v2(
-        writer, name, params, fields, n_bits, compress=compress, chunked=chunked
-    )
-    source: Iterable[bytes] = payload_chunks
-    if compress:
-        source = _deflate(source)
-    if chunked:
-        for chunk in source:
-            if not chunk:
-                continue
-            writer.write(struct.pack(">I", len(chunk)))
-            writer.write(chunk)
-        writer.write(struct.pack(">I", 0))
-    else:
-        data = b"".join(source)
-        writer.write(encode_uvarint(len(data)))
-        writer.write(data)
-    writer.write_raw(struct.pack(">I", writer.crc))
-    return writer.count
 
 
 def _read_params_block(reader: _CrcReader) -> SketchParams:
@@ -990,11 +859,24 @@ def _delta_encode_payload(payload: bytes, n_bits: int) -> bytes | None:
     encoding is *strictly* smaller than the packed payload -- the caller
     keeps the raw layout otherwise, so dense payloads never regress.
     Stored bytes only: the charged ``n_bits`` is untouched.
+
+    Pricing works from the nonzero *bytes*: every set bit costs at least
+    one varint byte and the count at least one more, so a payload with
+    ``nonzero + 1 >= len(payload)`` cannot win and is refused before any
+    bit is unpacked; otherwise only the nonzero bytes are unpacked.
     """
     if not n_bits or not payload:
         return None
-    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))[:n_bits]
-    positions = np.flatnonzero(bits).astype(np.uint64)
+    data = np.frombuffer(payload, dtype=np.uint8)
+    nonzero = np.flatnonzero(data != 0)  # bool scan: faster than uint8
+    if nonzero.size + 1 >= len(payload):
+        return None
+    bits = np.unpackbits(data[nonzero]).reshape(-1, 8).astype(bool)
+    offsets = nonzero.astype(np.uint64)[:, None] * np.uint64(8) + np.arange(
+        8, dtype=np.uint64
+    )
+    positions = offsets[bits]
+    positions = positions[positions < np.uint64(n_bits)]
     gaps = positions.copy()
     if positions.size > 1:
         gaps[1:] = positions[1:] - positions[:-1] - np.uint64(1)
@@ -1012,7 +894,8 @@ def _delta_decode_payload(data: bytes, n_bits: int) -> bytes:
     Truncated or trailing varints, positions at or past ``n_bits``,
     non-increasing positions (which also catches any 64-bit wraparound:
     a single gap cannot wrap past its predecessor), and padded varint
-    groups all raise :class:`WireFormatError`.
+    groups all raise :class:`WireFormatError`.  The payload is built per
+    byte: each run of positions sharing a byte ORs into it in one pass.
     """
     need_bytes = (n_bits + 7) // 8
     stream = io.BytesIO(data)
@@ -1025,7 +908,7 @@ def _delta_decode_payload(data: bytes, n_bits: int) -> bytes:
         raise WireFormatError(
             f"delta payload declares {count} set bits in {n_bits} bits"
         )
-    bits = np.zeros(need_bytes * 8, dtype=np.uint8)
+    out = np.zeros(need_bytes, dtype=np.uint8)
     if count:
         positions = np.cumsum(gaps, dtype=np.uint64) + np.arange(
             count, dtype=np.uint64
@@ -1034,8 +917,14 @@ def _delta_decode_payload(data: bytes, n_bits: int) -> bytes:
             positions[-1]
         ) >= n_bits:
             raise WireFormatError("delta payload positions exceed declared bits")
-        bits[positions.astype(np.int64)] = 1
-    return np.packbits(bits).tobytes()
+        byte_index = (positions >> np.uint64(3)).astype(np.int64)
+        masks = np.right_shift(
+            np.uint8(0x80), (positions & np.uint64(7)).astype(np.uint8)
+        )
+        # Positions ascend, so each byte's bits form one contiguous run.
+        starts = np.flatnonzero(np.diff(byte_index, prepend=-1))
+        out[byte_index[starts]] = np.bitwise_or.reduceat(masks, starts)
+    return out.tobytes()
 
 
 def _encode_record_v3(
@@ -1046,21 +935,19 @@ def _encode_record_v3(
     n_bits: int,
     *,
     compress: bool,
-    delta: bool,
 ) -> tuple[bytes, int]:
     """One container frame record plus its CRC.
 
-    The stored payload is the smallest of raw / delta / zlib among the
-    enabled transforms (delta preferred on ties); ``n_bits`` -- the
+    The stored payload is the smallest of raw / delta / zlib (zlib only
+    when ``compress``; delta preferred on ties); ``n_bits`` -- the
     charged size -- is written verbatim regardless.
     """
     stored = payload
     flags = _FLAG_PARAMS if params is not None else 0
-    if delta:
-        candidate = _delta_encode_payload(payload, n_bits)
-        if candidate is not None:
-            stored = candidate
-            flags |= _FLAG_DELTA
+    candidate = _delta_encode_payload(payload, n_bits)
+    if candidate is not None:
+        stored = candidate
+        flags |= _FLAG_DELTA
     if compress:
         candidate = zlib.compress(payload, 6)
         if len(candidate) < len(stored):
@@ -1228,10 +1115,11 @@ class ContainerWriter:
     dictionary up front (default: every registered codec, so arbitrary
     mixes can be added incrementally).
 
-    ``compress``/``delta`` choose the default stored-payload transforms;
-    per-frame overrides go through :meth:`add`.  Either way the *charged*
-    ``n_bits`` written per record is exactly the codec's payload bit
-    count -- transforms are transport thrift, never accounting thrift.
+    Every record stores its payload raw or delta-coded, whichever is
+    smaller; ``compress`` (overridable per frame through :meth:`add`)
+    lets zlib compete too.  Either way the *charged* ``n_bits`` written
+    per record is exactly the codec's payload bit count -- stored forms
+    are transport thrift, never accounting thrift.
     """
 
     def __init__(
@@ -1241,7 +1129,6 @@ class ContainerWriter:
         meta: Mapping[str, Any] | None = None,
         codecs: tuple[str, ...] | None = None,
         compress: bool = False,
-        delta: bool = True,
     ) -> None:
         table = tuple(codecs) if codecs is not None else codec_names()
         if not table:
@@ -1253,7 +1140,6 @@ class ContainerWriter:
         self._codecs = table
         self._index = {name: i for i, name in enumerate(table)}
         self._compress = compress
-        self._delta = delta
         self._meta = Header(fields=dict(meta) if meta else {}).fields
         self._stream = stream
         self._entries: list[ManifestEntry] = []
@@ -1302,7 +1188,6 @@ class ContainerWriter:
         obj: Any,
         *,
         compress: bool | None = None,
-        delta: bool | None = None,
     ) -> ManifestEntry:
         """Encode one summary as the next frame record."""
         codec = codec_for(obj)
@@ -1316,7 +1201,6 @@ class ContainerWriter:
             buf,
             n_bits,
             compress=self._compress if compress is None else compress,
-            delta=self._delta if delta is None else delta,
         )
 
     def _add_encoded(
@@ -1329,7 +1213,6 @@ class ContainerWriter:
         n_bits: int,
         *,
         compress: bool,
-        delta: bool,
     ) -> ManifestEntry:
         self._require_open()
         _validate_shard_name(name)
@@ -1346,7 +1229,7 @@ class ContainerWriter:
             )
         self._claim_name(name)
         record, crc = _encode_record_v3(
-            index, params, fields, payload, n_bits, compress=compress, delta=delta
+            index, params, fields, payload, n_bits, compress=compress
         )
         return self._append_record(name, codec_name, index, record, n_bits, crc)
 
@@ -1434,12 +1317,9 @@ def write_container(
     meta: Mapping[str, Any] | None = None,
     codecs: tuple[str, ...] | None = None,
     compress: bool = False,
-    delta: bool = True,
 ) -> tuple[ManifestEntry, ...]:
     """Encode ``(name, summary)`` pairs as one v3 container; one pass."""
-    writer = ContainerWriter(
-        stream, meta=meta, codecs=codecs, compress=compress, delta=delta
-    )
+    writer = ContainerWriter(stream, meta=meta, codecs=codecs, compress=compress)
     for name, obj in items:
         writer.add(name, obj)
     return writer.close()
@@ -1850,12 +1730,53 @@ def peek_wire_version(data: bytes) -> int | None:
     return data[len(MAGIC)]
 
 
+@dataclass(frozen=True)
+class ShardFile:
+    """A file as the fleet tools see it: one frame, or a fleet container.
+
+    ``container`` is ``None`` when the file holds a single frame -- a v1
+    or v2 frame, or a v3 container whose only record is anonymous, which
+    is what :func:`dump` writes -- and ``names`` is then just the file
+    stem.  Otherwise the file is a fleet: ``container`` describes it and
+    ``names`` follows its manifest, an anonymous shard falling back to
+    ``<stem>-<index>``.
+    """
+
+    names: tuple[str, ...]
+    container: ContainerInfo | None = None
+
+
+def shard_file(source: bytes | IO[bytes], stem: str) -> ShardFile:
+    """Tell a single-frame file from a fleet container, and name its shards.
+
+    The one naming rule behind ``repro pack``, ``push``, ``merge``,
+    ``inspect`` and ``serve --load``.  ``source`` is the file's bytes or
+    a seekable stream positioned at its start (left there on return).
+    v3 input is skimmed front to back with :func:`inspect_container`, so
+    bytes trailing a single frame are left for the frame reader to
+    reject; structural breakage raises :class:`WireFormatError`.
+    """
+    stream = io.BytesIO(source) if isinstance(source, bytes) else source
+    start = stream.tell()
+    version = peek_wire_version(stream.read(5))
+    stream.seek(start)
+    if version != WIRE_V3:
+        return ShardFile((stem,))
+    info = inspect_container(stream)
+    stream.seek(start)
+    entries = info.entries
+    if len(entries) == 1 and not entries[0].name:
+        return ShardFile((stem,))
+    names = tuple(e.name or f"{stem}-{i}" for i, e in enumerate(entries))
+    return ShardFile(names, info)
+
+
 def _read_frame_v3_single(reader: _CrcReader) -> Frame:
     """A v3 container holding exactly one frame, through ``read_frame``.
 
     Single-frame containers are how v3 flows through every frame-shaped
-    channel unchanged (``dump(version=3)``, a socket ``LOAD`` body, a WAL
-    record).  Zero frames or more than one raise -- multi-frame
+    channel unchanged (a :func:`dump` sketch file, a socket ``LOAD`` body,
+    a WAL record).  Zero frames or more than one raise -- multi-frame
     containers go through :class:`ContainerReader` or
     :func:`iter_container_frames`.
     """
@@ -1976,59 +1897,29 @@ def encode_frame(
     payload: bytes,
     n_bits: int,
     *,
-    version: int | None = None,
     compress: bool = False,
 ) -> bytes:
     """Assemble the framed byte string for one serialized summary.
 
-    ``version`` selects the layout (default: :func:`default_wire_version`).
-    v1 output is byte-identical to every frame PR 3 ever committed.
-    ``compress`` (v2 only) stores the payload as a zlib stream; the
-    declared ``n_bits`` -- the charged size -- is unchanged.
+    The frame is a v3 container holding one anonymous record -- the only
+    layout this build writes.  ``compress`` lets a zlib stream compete
+    for the stored payload; the declared ``n_bits`` -- the charged
+    size -- is unchanged.
     """
-    if version is None:
-        version = default_wire_version()
-    _validate_codec_name(codec)
-    if len(payload) != (n_bits + 7) // 8:
-        raise WireFormatError(
-            f"payload of {len(payload)} bytes disagrees with {n_bits} bits"
-        )
-    if version == WIRE_V1:
-        if compress:
-            raise WireFormatError("wire v1 frames cannot be compressed")
-        return _encode_frame_v1(codec, params, extras, payload, n_bits)
-    if version == WIRE_V2:
-        out = io.BytesIO()
-        _write_frame_v2(
-            out,
-            codec,
-            params,
-            extras,
-            (payload,) if payload else (),
-            n_bits,
-            compress=compress,
-            chunked=False,
-        )
-        return out.getvalue()
-    if version == WIRE_V3:
-        out = io.BytesIO()
-        writer = ContainerWriter(out, codecs=(codec,))
-        writer._add_encoded(
-            "", codec, params, extras, payload, n_bits,
-            compress=compress, delta=True,
-        )
-        writer.close()
-        return out.getvalue()
-    raise WireFormatError(
-        f"unsupported wire version {version} (this build writes {SUPPORTED_WIRE_VERSIONS})"
+    out = io.BytesIO()
+    writer = ContainerWriter(out, codecs=(codec,))
+    writer._add_encoded(
+        "", codec, params, extras, payload, n_bits, compress=compress
     )
+    writer.close()
+    return out.getvalue()
 
 
 def read_frame(stream: IO[bytes], *, max_bytes: int | None = None) -> Frame:
     """Read exactly one frame from a binary stream, dispatching by version.
 
-    v2 payloads stay lazy: the returned frame pulls chunks from the
-    stream as its :meth:`Frame.reader` is consumed (or when
+    Raw and zlib payloads of v2 frames stay lazy: the returned frame
+    pulls chunks from the stream as its :meth:`Frame.reader` is consumed (or when
     :attr:`Frame.payload` is touched) and verifies the running CRC at the
     final chunk, so giant frames decode without materializing.  Exactly
     the frame's bytes are consumed from the stream on success.
@@ -2148,8 +2039,8 @@ class SketchCodec(ABC):
     :class:`Header` builder with the summary's public metadata and
     returns only the payload, and :meth:`decode` reads the same fields
     back through the header's typed getters.  One header implementation
-    therefore serves both frame generations (JSON under v1, binary
-    varint fields under v2) for all registered codecs.
+    therefore serves every frame version -- the v3 writer, and the v1
+    (JSON) and v2 (binary) readers -- for all registered codecs.
     """
 
     #: Registry key; matches the producing sketcher's ``name`` where one exists.
@@ -2161,10 +2052,9 @@ class SketchCodec(ABC):
     def encode(self, obj: Any, header: Header) -> BitWriter | tuple[bytes, int]:
         """Fill ``header`` and serialize ``obj``'s payload.
 
-        The payload is either a :class:`BitWriter` to be packed (or
-        drained to a stream), or -- for summaries that already hold their
-        canonical packed payload -- a ``(payload_bytes, n_bits)`` pair
-        passed through verbatim.
+        The payload is either a :class:`BitWriter` to be packed, or --
+        for summaries that already hold their canonical packed payload --
+        a ``(payload_bytes, n_bits)`` pair passed through verbatim.
         """
 
     @abstractmethod
@@ -2212,102 +2102,30 @@ def _encoded_payload(payload: BitWriter | tuple[bytes, int]) -> tuple[bytes, int
     return payload
 
 
-def dump(obj: Any, *, version: int | None = None, compress: bool = False) -> bytes:
+def dump(obj: Any, *, compress: bool = False) -> bytes:
     """Serialize a sketch or streaming summary to its framed bit string.
 
-    ``version`` selects the frame layout (default
-    :func:`default_wire_version`); ``compress`` stores a zlib payload
-    under v2 while the charged ``n_bits`` stays the uncompressed count.
+    The frame is a single-record v3 container; ``compress`` lets a zlib
+    stream compete for the stored payload while the charged ``n_bits``
+    stays the uncompressed count.
     """
+    return _encode_obj(obj, compress)
+
+
+def dump_to(obj: Any, stream: IO[bytes], *, compress: bool = False) -> int:
+    """:func:`dump` into a binary stream; returns bytes written."""
+    data = _encode_obj(obj, compress)
+    stream.write(data)
+    return len(data)
+
+
+def _encode_obj(obj: Any, compress: bool) -> bytes:
+    """The one encode path behind :func:`dump` and :func:`dump_to`."""
     codec = codec_for(obj)
     header = Header()
-    payload = codec.encode(obj, header)
-    buf, n_bits = _encoded_payload(payload)
+    buf, n_bits = _encoded_payload(codec.encode(obj, header))
     return encode_frame(
-        codec.name, header.params, header.fields, buf, n_bits,
-        version=version, compress=compress,
-    )
-
-
-def dump_to(
-    obj: Any,
-    stream: IO[bytes],
-    *,
-    version: int | None = None,
-    compress: bool = False,
-    chunked: bool | None = None,
-    chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-) -> int:
-    """Serialize straight into a binary stream; returns bytes written.
-
-    Under v2 the payload is drained in ``chunk_bytes`` windows
-    (:meth:`BitWriter.iter_packed`), so the full packed byte string is
-    never materialized.  ``chunked=None`` picks the layout automatically:
-    chunked frames whenever the payload is compressed (its stored length
-    is unknown up front) or larger than one window, the compact
-    varint-length layout otherwise.
-    """
-    if version is None:
-        version = default_wire_version()
-    codec = codec_for(obj)
-    header = Header()
-    payload = codec.encode(obj, header)
-    if version == WIRE_V1:
-        if compress or chunked:
-            raise WireFormatError("wire v1 frames are neither compressed nor chunked")
-        buf, n_bits = _encoded_payload(payload)
-        if len(buf) != (n_bits + 7) // 8:
-            raise WireFormatError(
-                f"payload of {len(buf)} bytes disagrees with {n_bits} bits"
-            )
-        data = _encode_frame_v1(codec.name, header.params, header.fields, buf, n_bits)
-        stream.write(data)
-        return len(data)
-    if version == WIRE_V3:
-        if chunked:
-            raise WireFormatError(
-                "wire v3 records are not chunked; containers stream whole records"
-            )
-        buf, n_bits = _encoded_payload(payload)
-        writer = ContainerWriter(stream, codecs=(codec.name,))
-        writer._add_encoded(
-            "", codec.name, header.params, header.fields, buf, n_bits,
-            compress=compress, delta=True,
-        )
-        writer.close()
-        return writer.bytes_written
-    if version != WIRE_V2:
-        raise WireFormatError(
-            f"unsupported wire version {version} "
-            f"(this build writes {SUPPORTED_WIRE_VERSIONS})"
-        )
-    if isinstance(payload, BitWriter):
-        n_bits = payload.n_bits
-        payload_bytes = (n_bits + 7) // 8
-        chunks: Iterable[bytes] = payload.iter_packed(chunk_bytes)
-    else:
-        buf, n_bits = payload
-        if len(buf) != (n_bits + 7) // 8:
-            raise WireFormatError(
-                f"payload of {len(buf)} bytes disagrees with {n_bits} bits"
-            )
-        payload_bytes = len(buf)
-        view = memoryview(buf)
-        chunks = (
-            bytes(view[start : start + chunk_bytes])
-            for start in range(0, len(view), chunk_bytes)
-        )
-    if chunked is None:
-        chunked = compress or payload_bytes > chunk_bytes
-    return _write_frame_v2(
-        stream,
-        codec.name,
-        header.params,
-        header.fields,
-        chunks,
-        n_bits,
-        compress=compress,
-        chunked=chunked,
+        codec.name, header.params, header.fields, buf, n_bits, compress=compress
     )
 
 
@@ -2328,8 +2146,8 @@ def _decode_frame_obj(frame: Frame) -> Any:
 def load(buf: bytes) -> Any:
     """Reconstruct a sketch or streaming summary from :func:`dump` output.
 
-    Dispatches by the frame's version byte, so v1 and v2 frames decode
-    through the same entry point.  Every decode failure surfaces as
+    Dispatches by the frame's version byte, so v1, v2 and v3 frames
+    decode through the same entry point.  Every decode failure surfaces as
     :class:`WireFormatError`: codec decoders hand untrusted header fields
     to summary constructors, whose own validation errors (``StreamError``,
     ``ParameterError``, ...) are re-raised here as malformed-frame errors
@@ -2341,7 +2159,7 @@ def load(buf: bytes) -> Any:
 def load_from(stream: IO[bytes], *, max_bytes: int | None = None) -> Any:
     """:func:`load` from a binary stream (one frame consumed exactly).
 
-    Chunked v2 frames decode windowed: payload bytes flow from the
+    Chunked and zlib v2 frames decode windowed: payload bytes flow from the
     stream into the codec's bit reader without materializing, and the
     trailing CRC is verified when the final chunk is consumed.
     ``max_bytes`` bounds the frame's total byte consumption, as in
@@ -2372,9 +2190,10 @@ def payload_size_bits(obj: Any) -> int:
     """Exact bit length of ``obj``'s serialized payload (the measured size).
 
     By the registry contract this equals ``obj.size_in_bits()``; the test
-    suite asserts the identity for every codec, under both frame versions
-    and with compression on and off (the stored byte count may shrink,
-    the charged bit count never does).
+    suite asserts the identity for every codec, with compression on and
+    off (the stored byte count may shrink, the charged bit count never
+    does).  Serving paths read ``size_in_bits()`` instead: this runs a
+    full payload encode, so it is the *measured* side of that check.
     """
     codec = codec_for(obj)
     payload = codec.encode(obj, Header())

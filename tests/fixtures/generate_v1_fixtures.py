@@ -1,24 +1,24 @@
 """Golden wire-format v1 fixtures: one frozen frame per codec.
 
-Wire v1 is a compatibility promise -- every frame PR 3 committed must
-decode bit-identically forever, through every future wire version.  This
-script pins that promise to bytes on disk: it builds one deterministic
-summary per registered codec (fixed seeds, fixed parameters), serializes
-each with ``version=1``, and writes the frames plus a manifest to
-``tests/fixtures/v1/``.
+Wire v1 is a compatibility promise -- every frame a v1 build committed
+must decode bit-identically forever.  ``tests/fixtures/v1/`` pins that
+promise to bytes on disk: one frame per registered codec, built from a
+deterministic summary (fixed seeds, fixed parameters), plus a manifest.
+The v1 *encoder* is retired -- this package writes wire v3 only -- so
+the committed bytes can never be regenerated and are never rewritten.
 
 Run it from the repo root:
 
-* ``python tests/fixtures/generate_v1_fixtures.py`` -- (re)write fixtures;
-  only ever needed when *adding* a codec, never for existing ones.
 * ``python tests/fixtures/generate_v1_fixtures.py --check`` -- the CI
-  drift check: rebuild everything in memory and fail (exit 1) if any
-  byte differs from the committed files.  A failure means the v1 encoder
-  or a codec's canonical payload changed -- which is a compatibility
-  break, not a fixture refresh.
+  decode gate.  Every committed frame must match its manifest hash and
+  decode to the seeded summary: same payload bits, header fields and
+  params, and its v3 re-encode must equal the seeded summary's v3 frame.
+  A failure means a v1 reader or a codec's canonical payload changed --
+  a compatibility break, not a fixture refresh.
 
-``tests/test_wire_fixtures.py`` asserts the committed frames decode and
-round-trip bit-identically through the current code path.
+:func:`build_fixture_objects` is shared: the v2 and v3 fixture sets and
+several test suites use the same seeded summaries.  ``tests/
+test_wire_fixtures.py`` runs the same gate inside the test suite.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
 FIXTURE_DIR = Path(__file__).resolve().parent / "v1"
-MANIFEST = FIXTURE_DIR / "manifest.json"
 
 
 def build_fixture_objects() -> dict[str, object]:
@@ -121,75 +120,77 @@ def build_fixture_objects() -> dict[str, object]:
     return objects
 
 
-def build_fixture_frames() -> dict[str, bytes]:
-    """The golden byte strings: each object dumped as a v1 frame."""
+def decode_failures(committed: bytes, seeded: object) -> list[str]:
+    """Why ``committed`` does not carry ``seeded`` (empty: it does).
+
+    The frame must decode to exactly the seeded summary's payload bits,
+    header fields and params, and re-encoding the decoded summary (as
+    wire v3, the one writer) must equal the seeded summary's v3 frame.
+    """
     from repro import wire
 
-    frames = {
-        name: wire.dump(obj, version=wire.WIRE_V1)
-        for name, obj in build_fixture_objects().items()
-    }
-    missing = set(wire.codec_names()) - set(frames)
-    if missing:
-        raise AssertionError(f"no fixture built for codecs: {sorted(missing)}")
-    return frames
-
-
-def write_fixtures() -> None:
-    FIXTURE_DIR.mkdir(parents=True, exist_ok=True)
-    manifest = {}
-    for name, frame in sorted(build_fixture_frames().items()):
-        path = FIXTURE_DIR / f"{name}.ifsk"
-        path.write_bytes(frame)
-        manifest[name] = {
-            "file": path.name,
-            "bytes": len(frame),
-            "sha256": hashlib.sha256(frame).hexdigest(),
-        }
-    MANIFEST.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {len(manifest)} fixtures to {FIXTURE_DIR}")
-
-
-def check_fixtures() -> int:
-    """Exit nonzero if regeneration drifts from the committed bytes."""
-    if not MANIFEST.exists():
-        print(f"missing manifest {MANIFEST}; run without --check first")
-        return 1
-    manifest = json.loads(MANIFEST.read_text())
-    frames = build_fixture_frames()
+    frame = wire.decode_frame(committed)
+    reference = wire.decode_frame(wire.dump(seeded))
     failures = []
-    if set(manifest) != set(frames):
+    if frame.codec != reference.codec:
+        failures.append(f"codec {frame.codec!r} != {reference.codec!r}")
+    if (frame.n_bits, frame.payload) != (reference.n_bits, reference.payload):
+        failures.append("payload bits differ from the seeded summary's")
+    if frame.extras != reference.extras:
+        failures.append(f"header fields {frame.extras} != {reference.extras}")
+    if frame.params != reference.params:
+        failures.append(f"params {frame.params} != {reference.params}")
+    if wire.dump(wire.load(committed)) != wire.dump(seeded):
+        failures.append("v3 re-encode differs from the seeded summary's")
+    return failures
+
+
+def check_committed(
+    fixture_dir: Path, objects: dict[str, object], label: str
+) -> int:
+    """The decode gate over one read-only fixture set; exit status."""
+    manifest_path = fixture_dir / "manifest.json"
+    if not manifest_path.exists():
+        print(f"missing manifest {manifest_path}")
+        return 1
+    manifest = json.loads(manifest_path.read_text())
+    failures = []
+    if set(manifest) != set(objects):
         failures.append(
-            f"codec set drifted: manifest {sorted(manifest)} vs built {sorted(frames)}"
+            f"fixture set drifted: manifest {sorted(manifest)} vs seeded "
+            f"{sorted(objects)}"
         )
     for name, entry in sorted(manifest.items()):
-        committed = (FIXTURE_DIR / entry["file"]).read_bytes()
+        committed = (fixture_dir / entry["file"]).read_bytes()
         if hashlib.sha256(committed).hexdigest() != entry["sha256"]:
             failures.append(f"{name}: committed file disagrees with manifest hash")
-        if name in frames and frames[name] != committed:
-            failures.append(
-                f"{name}: regenerated frame differs from committed bytes "
-                f"({len(frames[name])} vs {len(committed)} bytes) -- "
-                "the v1 encoder or canonical payload changed"
+            continue
+        if name in objects:
+            failures.extend(
+                f"{name}: {reason}"
+                for reason in decode_failures(committed, objects[name])
             )
     for failure in failures:
         print(f"FIXTURE DRIFT: {failure}")
     if not failures:
-        print(f"{len(manifest)} v1 fixtures match (no drift)")
+        print(f"{len(manifest)} {label} fixtures decode to their seeded summaries")
     return 1 if failures else 0
+
+
+def check_fixtures() -> int:
+    """Exit nonzero unless every committed v1 frame passes the gate."""
+    return check_committed(FIXTURE_DIR, build_fixture_objects(), "v1")
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--check", action="store_true",
-        help="verify committed fixtures instead of writing them",
+        help="verify the committed fixtures (the only mode: the v1 encoder "
+             "is retired, so they are never rewritten)",
     )
-    args = parser.parse_args(argv)
-    if args.check:
-        return check_fixtures()
-    write_fixtures()
-    return 0
+    parser.parse_args(argv)
+    return check_fixtures()
 
 
 if __name__ == "__main__":

@@ -1,51 +1,37 @@
 """Golden wire-format v2 fixtures: frozen frames for every codec and layout.
 
-Wire v2 graduates to a compatibility promise the moment v3 exists: every
-v2 frame already written (files, WAL records, snapshots) must decode
-bit-identically forever, and the v2 encoder must keep emitting the same
-bytes for the same object.  This script pins that promise to bytes on
-disk, exactly as ``generate_v1_fixtures.py`` does for v1.  It reuses the
-v1 generator's deterministic summaries (same seeds, same parameters) and
-freezes each one under all three v2 payload layouts:
+Wire v2 froze when v3 became the one writer: every v2 frame already
+written (files, WAL records, snapshots) must decode bit-identically
+forever.  ``tests/fixtures/v2/`` pins that promise to bytes on disk, for
+the v1 generator's deterministic summaries (same seeds, same
+parameters), each frozen under all three v2 payload layouts:
 
 * ``<codec>.ifsk``    -- plain frame (varint stored length, no flags);
-* ``<codec>.z.ifsk``  -- zlib payload (``dump(..., compress=True)``);
-* ``<codec>.c.ifsk``  -- chunked + zlib stream layout (``dump_to`` with
-  a 64-byte window, so every fixture crosses multiple chunks).
+* ``<codec>.z.ifsk``  -- zlib payload;
+* ``<codec>.c.ifsk``  -- chunked + zlib stream layout.
 
-Run it from the repo root:
+The v2 *encoder* is retired, so these bytes are never rewritten.  Run it
+from the repo root:
 
-* ``python tests/fixtures/generate_v2_fixtures.py`` -- (re)write fixtures;
-  only ever needed when *adding* a codec, never for existing ones.
 * ``python tests/fixtures/generate_v2_fixtures.py --check`` -- the CI
-  drift gate: rebuild everything in memory and fail (exit 1) if any byte
-  differs from the committed files.  A failure means the v2 encoder or a
-  codec's canonical payload changed -- a compatibility break, not a
-  fixture refresh.
+  decode gate, the same one ``generate_v1_fixtures.py`` applies to v1:
+  every committed frame must match its manifest hash, decode to its
+  seeded summary's payload bits, header fields and params, and re-encode
+  (as v3) to the seeded summary's v3 frame.
 
-``tests/test_wire_fixtures.py`` asserts the committed frames decode and
-round-trip bit-identically through the current code path.
+``tests/test_wire_fixtures.py`` runs the same gate inside the test suite.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import importlib.util
-import io
-import json
-import sys
 from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent.parent
-if str(REPO_ROOT / "src") not in sys.path:
-    sys.path.insert(0, str(REPO_ROOT / "src"))
-
 FIXTURE_DIR = Path(__file__).resolve().parent / "v2"
-MANIFEST = FIXTURE_DIR / "manifest.json"
 
-#: Forces every fixture payload across several chunks in the ``.c`` layout.
-CHUNK_BYTES = 64
+#: Name suffix of each frozen layout (``""`` is the plain frame).
+LAYOUTS = ("", "+zlib", "+chunked")
 
 
 def _v1_generator():
@@ -56,97 +42,30 @@ def _v1_generator():
     return module
 
 
-def build_fixture_objects() -> dict[str, object]:
-    """The v1 generator's deterministic summaries, shared verbatim."""
-    return _v1_generator().build_fixture_objects()
-
-
-def build_fixture_frames() -> dict[str, bytes]:
-    """The golden byte strings: three v2 layouts per codec."""
-    from repro import wire
-
-    frames: dict[str, bytes] = {}
-    objects = build_fixture_objects()
-    for name, obj in objects.items():
-        frames[name] = wire.dump(obj, version=wire.WIRE_V2)
-        frames[f"{name}+zlib"] = wire.dump(obj, version=wire.WIRE_V2, compress=True)
-        out = io.BytesIO()
-        wire.dump_to(
-            obj,
-            out,
-            version=wire.WIRE_V2,
-            compress=True,
-            chunked=True,
-            chunk_bytes=CHUNK_BYTES,
-        )
-        frames[f"{name}+chunked"] = out.getvalue()
-    missing = set(wire.codec_names()) - set(objects)
-    if missing:
-        raise AssertionError(f"no fixture built for codecs: {sorted(missing)}")
-    return frames
-
-
-def _fixture_file(name: str) -> str:
-    return (
-        name.replace("+zlib", ".z").replace("+chunked", ".c") + ".ifsk"
-    )
-
-
-def write_fixtures() -> None:
-    FIXTURE_DIR.mkdir(parents=True, exist_ok=True)
-    manifest = {}
-    for name, frame in sorted(build_fixture_frames().items()):
-        path = FIXTURE_DIR / _fixture_file(name)
-        path.write_bytes(frame)
-        manifest[name] = {
-            "file": path.name,
-            "bytes": len(frame),
-            "sha256": hashlib.sha256(frame).hexdigest(),
-        }
-    MANIFEST.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {len(manifest)} fixtures to {FIXTURE_DIR}")
+def fixture_objects() -> dict[str, object]:
+    """``{fixture name: seeded summary}``: three layouts per codec."""
+    objects = _v1_generator().build_fixture_objects()
+    return {
+        f"{codec}{layout}": obj
+        for codec, obj in objects.items()
+        for layout in LAYOUTS
+    }
 
 
 def check_fixtures() -> int:
-    """Exit nonzero if regeneration drifts from the committed bytes."""
-    if not MANIFEST.exists():
-        print(f"missing manifest {MANIFEST}; run without --check first")
-        return 1
-    manifest = json.loads(MANIFEST.read_text())
-    frames = build_fixture_frames()
-    failures = []
-    if set(manifest) != set(frames):
-        failures.append(
-            f"fixture set drifted: manifest {sorted(manifest)} vs built {sorted(frames)}"
-        )
-    for name, entry in sorted(manifest.items()):
-        committed = (FIXTURE_DIR / entry["file"]).read_bytes()
-        if hashlib.sha256(committed).hexdigest() != entry["sha256"]:
-            failures.append(f"{name}: committed file disagrees with manifest hash")
-        if name in frames and frames[name] != committed:
-            failures.append(
-                f"{name}: regenerated frame differs from committed bytes "
-                f"({len(frames[name])} vs {len(committed)} bytes) -- "
-                "the v2 encoder or canonical payload changed"
-            )
-    for failure in failures:
-        print(f"FIXTURE DRIFT: {failure}")
-    if not failures:
-        print(f"{len(manifest)} v2 fixtures match (no drift)")
-    return 1 if failures else 0
+    """Exit nonzero unless every committed v2 frame passes the gate."""
+    return _v1_generator().check_committed(FIXTURE_DIR, fixture_objects(), "v2")
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--check", action="store_true",
-        help="verify committed fixtures instead of writing them",
+        help="verify the committed fixtures (the only mode: the v2 encoder "
+             "is retired, so they are never rewritten)",
     )
-    args = parser.parse_args(argv)
-    if args.check:
-        return check_fixtures()
-    write_fixtures()
-    return 0
+    parser.parse_args(argv)
+    return check_fixtures()
 
 
 if __name__ == "__main__":

@@ -295,7 +295,7 @@ class TestCommands:
 
 
 class TestWireV2Cli:
-    """--wire-version / --compress plumbing and the new merge/inspect."""
+    """--compress plumbing, v1/v2 read compatibility, merge/inspect."""
 
     def _sketch_file(self, tmp_path, *extra):
         db = planted_database(
@@ -310,38 +310,44 @@ class TestWireV2Cli:
         return out
 
     def test_wire_version_flags_parse(self):
+        """v3 is the one writer: no command takes --wire-version."""
         parser = build_parser()
-        args = parser.parse_args(["sketch", "f.txt", "--out", "s", "--wire-version", "1"])
-        assert args.wire_version == 1 and not args.compress
         args = parser.parse_args(["sketch", "f.txt", "--out", "s", "--compress"])
-        assert args.wire_version is None and args.compress
-        assert parser.parse_args(
-            ["merge", "a", "b", "--out", "m", "--wire-version", "2"]
-        ).wire_version == 2
+        assert args.compress and not hasattr(args, "wire_version")
+        assert parser.parse_args(["merge", "a", "b", "--out", "m"]).compress is False
         assert parser.parse_args(["inspect", "s.bin"]).path == "s.bin"
-        assert parser.parse_args(
-            ["sketch", "f.txt", "--out", "s", "--wire-version", "3"]
-        ).wire_version == 3
-        with pytest.raises(SystemExit):
-            parser.parse_args(["sketch", "f.txt", "--out", "s", "--wire-version", "4"])
+        for argv in (
+            ["sketch", "f.txt", "--out", "s", "--wire-version", "1"],
+            ["merge", "a", "b", "--out", "m", "--wire-version", "2"],
+            ["stream", "-", "--out", "s", "--wire-version", "3"],
+        ):
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv)
 
     def test_sketch_wire_version_1_round_trips(self, tmp_path, capsys):
-        out = self._sketch_file(tmp_path, "--wire-version", "1")
-        assert out.read_bytes()[4] == 1
-        capsys.readouterr()
-        assert main(["query", str(out), "0", "1"]) == 0
+        """A committed v1 sketch file still answers through the CLI, and
+        a fresh sketch is written as v3."""
+        from pathlib import Path
+
+        from repro import wire
+
+        fixture = Path(__file__).resolve().parent / "fixtures" / "v1"
+        v1_file = tmp_path / "golden.bin"
+        v1_file.write_bytes((fixture / "subsample.ifsk").read_bytes())
+        assert main(["query", str(v1_file), "0", "1"]) == 0
         assert "estimate[0 1]" in capsys.readouterr().out
+        assert main(["inspect", str(v1_file)]) == 0
+        assert "wire version: 1" in capsys.readouterr().out
+        assert self._sketch_file(tmp_path).read_bytes()[4] == wire.WIRE_V3
 
     def test_sketch_compress_keeps_charged_bits(self, tmp_path, capsys):
         plain = self._sketch_file(tmp_path)
         plain_msg = capsys.readouterr().out
         squeezed = tmp_path / "squeezed.bin"
         baskets = tmp_path / "baskets.txt"
-        # --compress needs a v2 frame; pin the version so the test also
-        # holds under the forced REPRO_WIRE_VERSION=1 compatibility leg.
         assert main(
             ["sketch", str(baskets), "--out", str(squeezed), "--seed", "4",
-             "--wire-version", "2", "--compress"]
+             "--compress"]
         ) == 0
         squeezed_msg = capsys.readouterr().out
         # Same payload bits reported, smaller file on disk.
@@ -435,8 +441,17 @@ class TestCorruptedFilesCli:
             self._one_line_error(capsys, "cannot read sketch file")
 
     def test_inspect_corrupted_payload_flags_crc(self, sketch_file, tmp_path, capsys):
+        import io
+
+        from repro import wire
+        from repro.db.serialize import encode_uvarint
+
         buf = bytearray(sketch_file.read_bytes())
-        buf[-6] ^= 0x08  # payload byte: header still parses
+        # The last stored payload byte of the v3 record: it sits just
+        # before the record's CRC, so the header still parses.
+        info = wire.inspect_frame(io.BytesIO(bytes(buf)))
+        payload_at = info.header_bytes + len(encode_uvarint(info.stored_payload_bytes))
+        buf[payload_at + info.stored_payload_bytes - 1] ^= 0x08
         bad = tmp_path / "corrupt.bin"
         bad.write_bytes(bytes(buf))
         assert main(["inspect", str(bad)]) == 1
@@ -475,7 +490,9 @@ class TestCorruptedFilesCli:
 class TestOutputFileSafety:
     """Failed writes must not clobber an existing good sketch file."""
 
-    def test_failed_sketch_preserves_existing_output(self, tmp_path, capsys):
+    def test_failed_sketch_preserves_existing_output(
+        self, tmp_path, capsys, monkeypatch
+    ):
         db = planted_database(
             300, 6, [(Itemset([0, 1]), 0.5)], background=0.05, rng=7
         )
@@ -485,11 +502,16 @@ class TestOutputFileSafety:
         assert main(["sketch", str(baskets), "--out", str(out)]) == 0
         capsys.readouterr()
         good = out.read_bytes()
-        # --compress on a v1 frame is invalid: the command fails ...
-        assert main(
-            ["sketch", str(baskets), "--out", str(out),
-             "--wire-version", "1", "--compress"]
-        ) == 1
+        from repro import wire
+        from repro.errors import WireFormatError
+
+        def dump_to_fails_midway(obj, stream, *, compress=False):
+            stream.write(b"IFSK\x03 half a frame")
+            raise WireFormatError("encode failed mid-frame")
+
+        # An encode that dies after writing some bytes: the command fails ...
+        monkeypatch.setattr(wire, "dump_to", dump_to_fails_midway)
+        assert main(["sketch", str(baskets), "--out", str(out)]) == 1
         assert "cannot sketch" in capsys.readouterr().err
         # ... and the previously written sketch survives, byte for byte.
         assert out.read_bytes() == good
@@ -1054,6 +1076,21 @@ class TestContainerCli:
         assert "crc: ok" in inspected
         for index in range(3):
             assert f"shard{index}: misra-gries" in inspected
+
+    def test_plain_sketch_files_keep_their_stem_everywhere(
+        self, shard_files, tmp_path, capsys
+    ):
+        """pack, inspect and serve --load name a dump() file by its stem."""
+        from repro.server import SketchRegistry, preload_files
+
+        fleet = tmp_path / "fleet.bin"
+        assert main(["pack", shard_files[0], "--out", str(fleet)]) == 0
+        assert "  shard0: misra-gries" in capsys.readouterr().out
+        assert main(["inspect", shard_files[0]]) == 0
+        shown = capsys.readouterr().out
+        assert "codec: misra-gries" in shown and "shards:" not in shown
+        assert preload_files(SketchRegistry(), [shard_files[0]]) == ["shard0"]
+        assert preload_files(SketchRegistry(), [str(fleet)]) == ["shard0"]
 
     def test_pack_repacks_containers(self, shard_files, tmp_path, capsys):
         first = tmp_path / "fleet.bin"

@@ -781,12 +781,63 @@ class TestOverloadProtection:
         client = Client(handle.host, handle.port)
         try:
             client.load("mg", wire.dump(_misra_gries()))
+            began = time.monotonic()
             handle.close(grace=5.0)
+            # The client idles between requests: nothing to wait for.
+            assert time.monotonic() - began < 1.0
             # The listener is gone: new connections are refused.
             with pytest.raises(OSError):
                 socket.create_connection((handle.host, handle.port), timeout=1)
         finally:
             client.close()
+            handle.close()
+
+    def test_drain_answers_a_request_already_in_flight(self):
+        """A request half-received when the drain starts is still answered,
+        then the connection is hung up -- well inside the grace period."""
+
+        def wait_until(condition) -> None:
+            deadline = time.monotonic() + 5.0
+            while not condition():
+                assert time.monotonic() < deadline, "condition never held"
+                time.sleep(0.005)
+
+        def refused() -> bool:
+            try:
+                socket.create_connection((handle.host, handle.port), timeout=1).close()
+            except OSError:
+                return True
+            return False
+
+        query = [Itemset([1]), Itemset([5])]
+        body = protocol.encode_request(protocol.OP_ESTIMATE, name="mg", itemsets=query)
+        message = struct.pack(">I", len(body)) + body
+        handle = serve_in_thread()
+        raw = socket.create_connection((handle.host, handle.port), timeout=10)
+        try:
+            with Client(handle.host, handle.port) as client:
+                client.load("mg", wire.dump(_misra_gries()))
+                expected = client.estimate("mg", query)
+            raw.sendall(message[:6])  # length prefix + two body bytes
+            server = handle.server
+            wait_until(
+                lambda: server.active_connections == 1
+                and server.idle_connections == 0
+            )
+            began = time.monotonic()
+            closer = threading.Thread(target=handle.close, kwargs={"grace": 5.0})
+            closer.start()
+            wait_until(refused)
+            raw.sendall(message[6:])
+            raw.settimeout(5)
+            (length,) = struct.unpack(">I", raw.recv(4, socket.MSG_WAITALL))
+            assert protocol.parse_estimates(raw.recv(length, socket.MSG_WAITALL)) == expected
+            assert raw.recv(1) == b""  # hung up after the answer
+            closer.join(timeout=5)
+            assert not closer.is_alive()
+            assert time.monotonic() - began < 2.5
+        finally:
+            raw.close()
             handle.close()
 
     def test_close_is_idempotent(self):
@@ -926,7 +977,7 @@ class TestLoadManyEndToEnd:
                 ]
 
     def test_anonymous_shard_refused_client_side(self):
-        frame = wire.dump(_misra_gries(), version=wire.WIRE_V3)
+        frame = wire.dump(_misra_gries())
         with serve_in_thread() as handle:
             with Client(handle.host, handle.port) as client:
                 with pytest.raises(ProtocolError, match="anonymous"):

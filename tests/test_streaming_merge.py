@@ -250,20 +250,25 @@ class TestMergePayloadStreams:
         assert remote.stream_length == local.stream_length
 
     def test_chunked_compressed_shard_files(self, tmp_path):
-        """Shards written with the streaming v2 encoder merge identically."""
-        from repro.wire import dump_to
+        """A committed chunked + zlib v2 shard file merges with a v3 one
+        exactly as the live summaries do."""
+        from pathlib import Path
 
-        shards = self._shards(count=2)
-        paths = []
-        for index, shard in enumerate(shards):
-            path = tmp_path / f"shard{index}.bin"
-            with open(path, "wb") as fh:
-                dump_to(shard, fh, version=2, compress=True, chunk_bytes=32)
-            paths.append(path)
-        local = merge_misra_gries(shards[0], shards[1])
+        from repro.wire import load
+
+        fixture = Path(__file__).resolve().parent / "fixtures" / "v2"
+        chunked = (fixture / "misra-gries.c.ifsk").read_bytes()
+        golden = load(chunked)
+        fresh = MisraGries(golden.universe, golden.k)
+        fresh.update_many(np.random.default_rng(21).integers(0, golden.universe, 300))
+        paths = [tmp_path / "shard0.bin", tmp_path / "shard1.bin"]
+        paths[0].write_bytes(chunked)
+        paths[1].write_bytes(fresh.to_bytes())
+        local = merge_misra_gries(golden, fresh)
         with open(paths[0], "rb") as a, open(paths[1], "rb") as b:
             remote = merge_payloads(a, b)
         assert remote._counters == local._counters
+        assert remote.stream_length == local.stream_length
 
     def test_mixed_bytes_and_streams(self):
         import io

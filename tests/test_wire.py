@@ -13,8 +13,10 @@ The registry contract under test, for every codec:
 from __future__ import annotations
 
 import io
+import json
 import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from hypothesis import strategies as st
 
 from repro import wire
 from repro.db.database import BinaryDatabase
-from repro.db.serialize import encode_svarint
+from repro.db.serialize import encode_svarint, encode_uvarint
 from repro.core import (
     BestOfNaiveSketcher,
     ImportanceSampleSketcher,
@@ -90,6 +92,41 @@ def _stream_summaries(universe: int):
     ]
 
 
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+
+def _fixture(version: int, name: str) -> bytes:
+    """A committed golden frame (``tests/fixtures/v<version>/``) by name."""
+    directory = FIXTURES / f"v{version}"
+    manifest = json.loads((directory / "manifest.json").read_text())
+    return (directory / manifest[name]["file"]).read_bytes()
+
+
+def _rechunk_v2(frame_bytes: bytes, chunk: int) -> bytes:
+    """A committed plain v2 frame re-laid out in CHUNKED form (CRC redone).
+
+    The chunk length is fixed here, so windowing and truncation tests get
+    many small chunks; the header and payload bytes are the committed ones.
+    """
+    info = wire.inspect_frame(io.BytesIO(frame_bytes))
+    assert info.version == wire.WIRE_V2 and not info.chunked
+    head = bytearray(frame_bytes[: info.header_bytes])
+    head[6 + head[5]] |= 0x04  # flags byte follows the codec name
+    start = info.header_bytes + len(encode_uvarint(info.stored_payload_bytes))
+    payload = frame_bytes[start:-4]
+    body = bytes(head) + b"".join(
+        struct.pack(">I", len(payload[i : i + chunk])) + payload[i : i + chunk]
+        for i in range(0, len(payload), chunk)
+    ) + struct.pack(">I", 0)
+    return body + struct.pack(">I", zlib.crc32(body) & 0xFFFFFFFF)
+
+
+def _payload_offset(frame_bytes: bytes) -> int:
+    """Offset of the first stored payload byte of a single v3 frame."""
+    info = wire.inspect_frame(io.BytesIO(frame_bytes))
+    return info.header_bytes + len(encode_uvarint(info.stored_payload_bytes))
+
+
 def _assert_size_identity(obj):
     """size_in_bits == payload n_bits == 8 * len(payload) - padding."""
     frame = wire.decode_frame(wire.dump(obj))
@@ -145,19 +182,14 @@ class TestCoreSketchRoundTrip:
         inv_eps=st.sampled_from([4, 8, 16]),
     )
     def test_property_round_trip(self, n, d, seed, inv_eps):
-        """Round-trips hold under *both* frame versions (and zlib v2)."""
+        """Round-trips hold in every stored form (raw, delta, zlib)."""
         db = random_database(n, d, 0.35, rng=seed)
         k = min(2, d)
         p = SketchParams(n=n, d=d, k=k, epsilon=1.0 / inv_eps, delta=0.1)
         queries = list(all_itemsets(d, k))
         for sketcher in _core_sketchers(Task.FORALL_ESTIMATOR):
             sketch = sketcher.sketch(db, p, rng=seed + 1)
-            frames = [
-                sketch.to_bytes(),
-                wire.dump(sketch, version=wire.WIRE_V1),
-                wire.dump(sketch, version=wire.WIRE_V2),
-                wire.dump(sketch, version=wire.WIRE_V2, compress=True),
-            ]
+            frames = [sketch.to_bytes(), sketch.to_bytes(compress=True)]
             expected = sketch.estimate_batch(queries)
             for buf in frames:
                 clone = FrequencySketch.from_bytes(buf)
@@ -174,18 +206,14 @@ class TestStreamingRoundTrip:
         seed=st.integers(0, 2**16),
     )
     def test_property_round_trip(self, universe, length, seed):
-        """Every summary round-trips under v1, v2, and compressed v2."""
+        """Every summary round-trips, compressed or not."""
         rng = np.random.default_rng(seed)
         stream = rng.integers(0, universe, size=length, dtype=np.int64)
         for summary in _stream_summaries(universe):
             if length:
                 summary.update_many(stream)
             probe = np.unique(stream)[:50] if length else np.arange(min(universe, 20))
-            for buf in (
-                summary.to_bytes(),
-                wire.dump(summary, version=wire.WIRE_V1),
-                wire.dump(summary, version=wire.WIRE_V2, compress=True),
-            ):
+            for buf in (summary.to_bytes(), summary.to_bytes(compress=True)):
                 clone = StreamSummary.from_bytes(buf)
                 assert type(clone) is type(summary)
                 assert clone.stream_length == summary.stream_length
@@ -452,45 +480,55 @@ class _SpyStream(io.BytesIO):
 
 class TestWireV2:
     def test_default_version_and_env_override(self, monkeypatch):
+        """v3 is the only writer: no version knob, no env override."""
         mg = MisraGries(30, 4)
-        monkeypatch.delenv(wire.WIRE_VERSION_ENV, raising=False)
-        assert wire.dump(mg)[4] == wire.WIRE_VERSION == wire.WIRE_V2
-        monkeypatch.setenv(wire.WIRE_VERSION_ENV, "1")
-        assert wire.dump(mg)[4] == wire.WIRE_V1
-        assert mg.to_bytes()[4] == wire.WIRE_V1
-        monkeypatch.setenv(wire.WIRE_VERSION_ENV, "7")
-        with pytest.raises(WireFormatError, match="REPRO_WIRE_VERSION"):
-            wire.dump(mg)
+        assert wire.dump(mg)[4] == mg.to_bytes()[4] == wire.WIRE_V3
+        monkeypatch.setenv("REPRO_WIRE_VERSION", "1")
+        assert wire.dump(mg)[4] == wire.WIRE_V3
+        with pytest.raises(TypeError):
+            wire.dump(mg, version=wire.WIRE_V1)
 
     def test_size_identity_every_codec_with_and_without_compression(self):
-        """The acceptance invariant: size_in_bits == n_bits under v2,
-        compressed or not -- compression shrinks stored bytes only."""
+        """The acceptance invariant: size_in_bits == n_bits in every
+        stored form -- compression shrinks stored bytes only."""
         for name, obj in _all_codec_objects().items():
             for compress in (False, True):
-                buf = wire.dump(obj, version=wire.WIRE_V2, compress=compress)
+                buf = wire.dump(obj, compress=compress)
                 frame = wire.decode_frame(buf)
-                assert frame.codec == name and frame.version == wire.WIRE_V2
-                assert frame.compressed is compress
+                assert frame.codec == name and frame.version == wire.WIRE_V3
+                assert not frame.compressed or compress
                 assert frame.n_bits == obj.size_in_bits()
                 clone = wire.load(buf)
                 assert clone.size_in_bits() == obj.size_in_bits()
 
     def test_v2_header_strictly_smaller_than_v1(self):
-        """Binary varint headers beat length-prefixed JSON on every codec."""
+        """Binary varint headers beat length-prefixed JSON on every codec
+        (read from the committed golden frames of both versions)."""
+        for name in ALL_CODECS:
+            v1 = wire.inspect_frame(io.BytesIO(_fixture(1, name)))
+            v2 = wire.inspect_frame(io.BytesIO(_fixture(2, name)))
+            assert v1.n_bits == v2.n_bits
+            v1_header = v1.frame_bytes - v1.stored_payload_bytes
+            v2_header = v2.frame_bytes - v2.stored_payload_bytes
+            assert v2_header < v1_header, name
+
+    def test_frame_overhead_reports_the_v3_frame(self):
         from repro.experiments import measure_frame_overhead
 
         for name, obj in _all_codec_objects().items():
             row = measure_frame_overhead(obj)
-            assert row["v2_header_bytes"] < row["v1_header_bytes"], name
+            frame = wire.dump(obj)
+            info = wire.inspect_frame(io.BytesIO(frame))
+            assert row["frame_bytes"] == len(frame), name
+            assert row["payload_bytes"] == (obj.size_in_bits() + 7) // 8
+            assert row["stored_payload_bytes"] == info.stored_payload_bytes
+            assert row["header_bytes"] == len(frame) - info.stored_payload_bytes
 
     def test_stream_round_trip_every_codec(self):
         for name, obj in _all_codec_objects().items():
             for compress in (False, True):
                 stream = io.BytesIO()
-                n = wire.dump_to(
-                    obj, stream, version=wire.WIRE_V2,
-                    compress=compress, chunk_bytes=32,
-                )
+                n = wire.dump_to(obj, stream, compress=compress)
                 assert n == stream.tell()
                 stream.seek(0)
                 clone = wire.load_from(stream)
@@ -499,81 +537,57 @@ class TestWireV2:
                 # Exactly one frame was consumed: the stream is at EOF.
                 assert stream.read() == b""
 
-    def test_chunked_encode_is_windowed(self):
-        """No single write materializes the payload: every write is at
-        most one chunk (+ its u32 length prefix), and the BitWriter's
-        buffer is drained rather than coalesced."""
-        db = random_database(400, 16, 0.3, rng=5)
-        p = SketchParams(n=db.n, d=db.d, k=2, epsilon=0.1)
-        sketch = ReleaseDbSketcher(Task.FORALL_ESTIMATOR).sketch(db, p)
-        payload_bytes = (sketch.size_in_bits() + 7) // 8
-        chunk = 64
-        spy = _SpyStream()
-        wire.dump_to(sketch, spy, version=wire.WIRE_V2, chunk_bytes=chunk)
-        assert payload_bytes > 10 * chunk  # the case is actually chunked
-        assert max(spy.write_sizes) <= chunk
-        frame = wire.decode_frame(spy.getvalue())
-        assert frame.chunked
-        np.testing.assert_array_equal(
-            wire.load(spy.getvalue()).database.rows, sketch.database.rows
-        )
-
     def test_chunked_decode_is_windowed(self):
         """load_from never issues a payload-sized read from the file."""
-        db = random_database(400, 16, 0.3, rng=6)
-        p = SketchParams(n=db.n, d=db.d, k=2, epsilon=0.1)
-        sketch = ReleaseDbSketcher(Task.FORALL_ESTIMATOR).sketch(db, p)
+        plain = _fixture(2, "itemset-miner")
         chunk = 64
-        buf = io.BytesIO()
-        wire.dump_to(sketch, buf, version=wire.WIRE_V2, chunk_bytes=chunk)
-        payload_bytes = (sketch.size_in_bits() + 7) // 8
-        spy = _SpyStream(buf.getvalue())
+        frame_bytes = _rechunk_v2(plain, chunk)
+        info = wire.inspect_frame(io.BytesIO(frame_bytes))
+        assert info.chunked and info.n_bits // 8 > 10 * chunk
+        spy = _SpyStream(frame_bytes)
         clone = wire.load_from(spy)
-        np.testing.assert_array_equal(clone.database.rows, sketch.database.rows)
         assert max(spy.read_sizes) <= chunk
+        assert wire.dump(clone) == wire.dump(wire.load(plain))
 
     def test_unchunked_small_frames_stay_compact(self):
+        """dump_to and dump share one encode path: identical bytes."""
         mg = MisraGries(30, 4)
         stream = io.BytesIO()
-        wire.dump_to(mg, stream, version=wire.WIRE_V2)
+        wire.dump_to(mg, stream)
         stream.seek(0)
         frame = wire.read_frame(stream)
         assert not frame.chunked
-        # Compact layout matches the in-memory encoder byte for byte.
-        assert stream.getvalue() == wire.dump(mg, version=wire.WIRE_V2)
+        assert stream.getvalue() == wire.dump(mg)
 
     def test_compressed_frame_smaller_on_redundant_payload(self):
-        db = BinaryDatabase(np.zeros((64, 16), dtype=bool))
+        # All ones: too dense for a delta list, trivially deflated.
+        db = BinaryDatabase(np.ones((64, 16), dtype=bool))
         p = SketchParams(n=64, d=16, k=2, epsilon=0.1)
         from repro.core.release_db import ReleaseDbSketch
 
         sketch = ReleaseDbSketch(p, db)
-        plain = wire.dump(sketch, version=wire.WIRE_V2)
-        squeezed = wire.dump(sketch, version=wire.WIRE_V2, compress=True)
+        plain = wire.dump(sketch)
+        squeezed = wire.dump(sketch, compress=True)
         assert len(squeezed) < len(plain)
-        assert wire.decode_frame(squeezed).n_bits == sketch.size_in_bits()
-
-    def test_v1_cannot_compress_or_chunk(self):
-        mg = MisraGries(30, 4)
-        with pytest.raises(WireFormatError, match="v1"):
-            wire.dump(mg, version=wire.WIRE_V1, compress=True)
-        with pytest.raises(WireFormatError, match="v1"):
-            wire.dump_to(mg, io.BytesIO(), version=wire.WIRE_V1, chunked=True)
+        frame = wire.decode_frame(squeezed)
+        assert frame.compressed and frame.n_bits == sketch.size_in_bits()
 
     def test_inspect_frame_reads_header_only(self):
-        db = random_database(80, 9, 0.3, rng=7)
-        p = SketchParams(n=db.n, d=db.d, k=2, epsilon=0.1)
-        sketch = ReleaseDbSketcher(Task.FORALL_ESTIMATOR).sketch(db, p)
-        for version in (wire.WIRE_V1, wire.WIRE_V2):
-            buf = wire.dump(sketch, version=version)
+        sketch = wire.load(_fixture(1, "release-db"))
+        p, db = sketch.params, sketch.database
+        for version, buf in (
+            (wire.WIRE_V1, _fixture(1, "release-db")),
+            (wire.WIRE_V2, _fixture(2, "release-db")),
+            (wire.WIRE_V3, wire.dump(sketch)),
+        ):
             info = wire.inspect_frame(io.BytesIO(buf))
             assert info.codec == "release-db" and info.version == version
             assert info.n_bits == sketch.size_in_bits()
             assert info.params == p and info.extras == {"n": db.n, "d": db.d}
             assert info.frame_bytes == len(buf)
             assert info.crc_ok
-        corrupted = bytearray(wire.dump(sketch, version=wire.WIRE_V2))
-        corrupted[-10] ^= 0x20  # payload byte: header still parses
+        corrupted = bytearray(wire.dump(sketch))
+        corrupted[_payload_offset(bytes(corrupted))] ^= 0x20  # header parses
         info = wire.inspect_frame(io.BytesIO(bytes(corrupted)))
         assert not info.crc_ok
 
@@ -617,21 +631,12 @@ class TestV2FrameRejection:
 
     @pytest.fixture
     def v2_frame(self):
-        db = random_database(50, 8, 0.3, rng=0)
-        p = SketchParams(n=db.n, d=db.d, k=2, epsilon=0.1)
-        sketch = ReleaseDbSketcher(Task.FORALL_ESTIMATOR).sketch(db, p)
-        return wire.dump(sketch, version=wire.WIRE_V2)
+        return _fixture(2, "release-db")
 
     @pytest.fixture
     def v2_chunked_frame(self):
-        db = random_database(200, 12, 0.3, rng=1)
-        p = SketchParams(n=db.n, d=db.d, k=2, epsilon=0.1)
-        sketch = ReleaseDbSketcher(Task.FORALL_ESTIMATOR).sketch(db, p)
-        stream = io.BytesIO()
-        wire.dump_to(
-            sketch, stream, version=wire.WIRE_V2, compress=True, chunk_bytes=48
-        )
-        return stream.getvalue()
+        # zlib payload in 64-byte chunks: several chunks, then the sentinel.
+        return _fixture(2, "count-min+chunked")
 
     def test_corruption_any_byte(self, v2_frame, v2_chunked_frame):
         for frame_bytes in (v2_frame, v2_chunked_frame):
@@ -728,29 +733,25 @@ class TestStreamTruncation:
 
     These tests cut serialized frames at *every* byte offset -- covering
     every section boundary (magic, header, chunk length, mid-chunk, zero
-    sentinel, CRC trailer) -- and assert the stream entry points raise
-    the wire-format error: never ``struct.error``, never a silently
-    short payload.
+    sentinel, CRC trailer, v3 manifest and footer) -- and assert the
+    stream entry points raise the wire-format error: never
+    ``struct.error``, never a silently short payload.  The v1/v2 inputs
+    are committed golden frames; v3 is what the writer emits today.
     """
 
     @staticmethod
     def _frames() -> dict[str, bytes]:
         mg = MisraGries(64, 8)
         mg.update_many(np.arange(256) % 11)
-        frames = {}
-        for label, kwargs in (
-            ("v1", dict(version=wire.WIRE_V1)),
-            ("v2-plain", dict(version=wire.WIRE_V2, chunked=False)),
-            ("v2-chunked", dict(version=wire.WIRE_V2, chunked=True, chunk_bytes=16)),
-            (
-                "v2-zlib-chunked",
-                dict(version=wire.WIRE_V2, compress=True, chunked=True, chunk_bytes=16),
-            ),
-        ):
-            stream = io.BytesIO()
-            wire.dump_to(mg, stream, **kwargs)
-            frames[label] = stream.getvalue()
-        return frames
+        return {
+            "v1": _fixture(1, "misra-gries"),
+            "v2-plain": _fixture(2, "misra-gries"),
+            "v2-chunked": _rechunk_v2(_fixture(2, "misra-gries"), 16),
+            "v2-zlib-chunked": _fixture(2, "misra-gries+chunked"),
+            "v2-zlib": _fixture(2, "misra-gries+zlib"),
+            "v3-delta": wire.dump(mg),
+            "v3-zlib": _fixture(3, "misra-gries+zlib"),
+        }
 
     def test_every_cut_fails_cleanly_eager(self):
         for label, frame_bytes in self._frames().items():
@@ -780,8 +781,7 @@ class TestStreamTruncation:
         # assemble full sections.
         for label, frame_bytes in self._frames().items():
             obj = wire.load_from(_DribbleStream(frame_bytes))
-            assert isinstance(obj, MisraGries)
-            assert obj.estimate_count(1) >= 0
+            assert wire.dump(obj) == wire.dump(wire.load(frame_bytes)), label
 
     def test_stalled_sentinel_is_wire_error(self):
         # A stream that ends right where the zero sentinel belongs.
@@ -801,13 +801,7 @@ class TestMaxBytesBudget:
 
     @staticmethod
     def _chunked_frame() -> bytes:
-        mg = MisraGries(64, 8)
-        mg.update_many(np.arange(256) % 11)
-        stream = io.BytesIO()
-        wire.dump_to(
-            mg, stream, version=wire.WIRE_V2, chunked=True, chunk_bytes=16
-        )
-        return stream.getvalue()
+        return _rechunk_v2(_fixture(2, "misra-gries"), 16)
 
     def test_exact_budget_decodes(self):
         frame_bytes = self._chunked_frame()
@@ -828,8 +822,9 @@ class TestMaxBytesBudget:
         # Patch the first chunk's length word to claim ~4 GiB; with a
         # budget set, the reader must refuse before attempting the read.
         frame_bytes = bytearray(self._chunked_frame())
-        needle = struct.pack(">I", 16)  # first 16-byte chunk's length
-        offset = frame_bytes.index(needle, 8)
+        # The first chunk's u32 length word follows the header directly.
+        offset = wire.inspect_frame(io.BytesIO(bytes(frame_bytes))).header_bytes
+        assert frame_bytes[offset : offset + 4] == struct.pack(">I", 16)
         frame_bytes[offset : offset + 4] = struct.pack(">I", 0xFFFF_FFF0)
 
         class _Explosive(io.BytesIO):

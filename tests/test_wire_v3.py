@@ -108,9 +108,9 @@ class TestContainerRoundTrip:
         assert wire.inspect_container(io.BytesIO(data)).meta == {"last_seq": 42}
 
     def test_single_anonymous_frame_is_a_plain_sketch_file(self):
-        """dump(version=3) output flows through load/read_frame unchanged."""
+        """dump() writes one anonymous v3 frame; load/read_frame take it."""
         obj = _misra_gries()
-        data = wire.dump(obj, version=wire.WIRE_V3)
+        data = wire.dump(obj)
         assert wire.peek_wire_version(data) == wire.WIRE_V3
         assert wire.dump(wire.load(data)) == wire.dump(obj)
         info = wire.inspect_frame(io.BytesIO(data))
@@ -144,12 +144,11 @@ class TestContainerRoundTrip:
             st.sampled_from(sorted(_zoo())), min_size=0, max_size=5
         ),
         compress=st.booleans(),
-        delta=st.booleans(),
     )
-    def test_arbitrary_codec_mixes_round_trip(self, picks, compress, delta):
+    def test_arbitrary_codec_mixes_round_trip(self, picks, compress):
         zoo = _zoo()
         items = [(f"s{i}-{codec}", zoo[codec]) for i, codec in enumerate(picks)]
-        data = _container(items, compress=compress, delta=delta)
+        data = _container(items, compress=compress)
         reader = wire.ContainerReader.open(io.BytesIO(data))
         assert reader.names() == tuple(name for name, _ in items)
         for name, obj in items:
@@ -158,6 +157,37 @@ class TestContainerRoundTrip:
         assert [wire.dump(o) for o in streamed] == [
             wire.dump(obj) for _, obj in items
         ]
+
+
+# ----------------------------------------------------------------------
+# Naming: single-frame files vs fleet containers, one rule for every tool.
+# ----------------------------------------------------------------------
+class TestShardFile:
+    def test_single_frames_are_named_after_the_file(self):
+        obj = _misra_gries()
+        golden = Path(__file__).resolve().parent / "fixtures" / "v2"
+        for data in (wire.dump(obj), (golden / "misra-gries.ifsk").read_bytes()):
+            shards = wire.shard_file(data, "mg")
+            assert shards.names == ("mg",) and shards.container is None
+
+    def test_fleets_are_named_by_manifest(self):
+        named = _container([("a", _misra_gries(1)), ("b", _misra_gries(2))])
+        shards = wire.shard_file(named, "fleet")
+        assert shards.names == ("a", "b")
+        assert shards.container.entries[1].name == "b"
+        # One *named* shard is still a fleet of one.
+        assert wire.shard_file(_container([("a", _misra_gries())]), "f").names == ("a",)
+
+    def test_anonymous_fleet_shards_fall_back_to_stem_index(self):
+        data = _container([("", _misra_gries(1)), ("b", _misra_gries(2)), ("", _misra_gries(3))])
+        assert wire.shard_file(data, "f").names == ("f-0", "b", "f-2")
+
+    def test_stream_source_is_left_at_its_start(self):
+        stream = io.BytesIO(wire.dump(_misra_gries()) + b"trailing")
+        assert wire.shard_file(stream, "mg").names == ("mg",)
+        assert stream.tell() == 0
+        with pytest.raises(WireFormatError, match="trailing garbage"):
+            wire.load(stream.read())
 
 
 # ----------------------------------------------------------------------
@@ -178,27 +208,19 @@ class TestChargedBits:
     def test_delta_shrinks_sparse_payloads_not_charged_bits(self):
         """A sparse payload stores fewer bytes under delta; n_bits exact."""
         zoo = _zoo()
-        sparse = {
-            name: obj
-            for name, obj in zoo.items()
-            if name in ("itemset-miner", "misra-gries", "space-saving")
-        }
-        items = sorted(sparse.items())
-        with_delta = wire.ContainerReader.open(
-            io.BytesIO(_container(items, delta=True))
-        )
-        without = wire.ContainerReader.open(
-            io.BytesIO(_container(items, delta=False))
-        )
-        shrunk = 0
-        for on, off, (name, obj) in zip(
-            with_delta.entries, without.entries, items
-        ):
-            assert on.n_bits == off.n_bits == obj.size_in_bits()
-            assert on.record_bytes <= off.record_bytes
-            shrunk += on.record_bytes < off.record_bytes
-            assert wire.dump(with_delta.load(name)) == wire.dump(obj)
-        assert shrunk > 0, "delta never engaged on any sparse payload"
+        items = [
+            (name, zoo[name])
+            for name in ("itemset-miner", "misra-gries", "space-saving")
+        ]
+        reader = wire.ContainerReader.open(io.BytesIO(_container(items)))
+        for entry, (name, obj) in zip(reader.entries, items):
+            frame = reader.frame(name)
+            assert frame.delta, f"delta never engaged on {name}"
+            assert entry.n_bits == frame.n_bits == obj.size_in_bits()
+            assert wire.dump(reader.load(name)) == wire.dump(obj)
+        for name, obj in items:
+            info = wire.inspect_frame(io.BytesIO(wire.dump(obj)))
+            assert info.delta and info.stored_payload_bytes < (info.n_bits + 7) // 8
 
     def test_stored_never_exceeds_raw(self):
         """min(raw, delta, zlib) selection: v3 stored <= raw packed bytes."""
