@@ -203,7 +203,8 @@ def _stored_form(frame: bytes) -> str:
 
 
 def build_fixture_frames() -> dict[str, bytes]:
-    """The golden byte strings: 3 forms per codec plus one container."""
+    """The golden byte strings: 3 forms per codec, the pricing edges,
+    and one container."""
     from repro import wire
 
     frames: dict[str, bytes] = {}
@@ -213,9 +214,11 @@ def build_fixture_frames() -> dict[str, bytes]:
         if frame[4] != wire.WIRE_V3 or _stored_form(frame) != form:
             raise AssertionError(f"{name} was not written as a v3 {form} record")
         frames[name] = frame
-    missing = set(wire.codec_names()) - set(build_form_objects()["raw"])
+    missing = {
+        f"{codec}+{form}" for codec in wire.codec_names() for form in FORMS
+    } - set(frames)
     if missing:
-        raise AssertionError(f"no fixture built for codecs: {sorted(missing)}")
+        raise AssertionError(f"no fixture built for: {sorted(missing)}")
     out = io.BytesIO()
     wire.write_container(
         out,
