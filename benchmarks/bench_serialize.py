@@ -24,6 +24,13 @@ end-to-end costs.  Cases:
   ``count-min-partial`` case is a streaming pipeline partial (count-min
   4 x 65536 after one 131072-item Zipf batch), where pricing the delta
   layout dominates the cost of a dump.
+* ``counter_payload`` -- codec encode (``BitWriter`` fill + ``getvalue``)
+  and decode (``BitReader`` + field rebuild) MB/s of counter-array
+  payloads -- count-min, SpaceSaving and Misra-Gries at three sizes --
+  on the byte-aligned fast path, beside the same codecs with every field
+  routed through the per-bit reference (``_uints_to_bits`` /
+  ``_bits_to_uints``, the writer and reader before the fast path).
+  Frames must be byte-identical on both paths.
 * ``container_ops`` -- pack a 64-shard fleet with ``ContainerWriter``,
   then measure a full sequential decode against one manifest-driven lazy
   load.  Asserts the partial load touches far less than the whole
@@ -40,6 +47,7 @@ or through pytest (``pytest benchmarks/bench_serialize.py -s``).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -56,7 +64,7 @@ from repro import wire  # noqa: E402
 from repro.core import SubsampleSketcher, ReleaseDbSketcher, Task  # noqa: E402
 from repro.db import BitWriter, random_database  # noqa: E402
 from repro.db.bitmatrix import int_to_bits, pack_bits  # noqa: E402
-from repro.db.serialize import BitReader  # noqa: E402
+from repro.db.serialize import BitReader, _bits_to_uints, _uints_to_bits  # noqa: E402
 from repro.params import SketchParams  # noqa: E402
 from repro.streaming import CountMinSketch  # noqa: E402
 
@@ -246,6 +254,92 @@ def bench_sparse_delta(universe: int, k: int, n_items: int, repeats: int) -> dic
     }
 
 
+class _ReferenceBitWriter(BitWriter):
+    """Every batched field through the per-bit reference encoding."""
+
+    def write_uints(self, values, width):
+        self.write_bits(_uints_to_bits(np.asarray(values, dtype=np.uint64), width))
+
+
+class _ReferenceBitReader(BitReader):
+    """Every batched field through the per-bit reference decoding."""
+
+    def read_uints(self, count, width):
+        return _bits_to_uints(self.read_bits(count * width), width)
+
+
+@contextlib.contextmanager
+def reference_codec_path():
+    """Run the wire codecs on the per-bit reference writer and reader."""
+    saved = wire.BitWriter, wire.BitReader
+    wire.BitWriter, wire.BitReader = _ReferenceBitWriter, _ReferenceBitReader
+    try:
+        yield
+    finally:
+        wire.BitWriter, wire.BitReader = saved
+
+
+def _codec_times(obj, repeats: int) -> tuple[float, float, bytes]:
+    """Best-of encode and decode seconds of ``obj``'s codec payload."""
+    codec = wire.codec_for(obj)
+
+    def encode():
+        payload = codec.encode(obj, wire.Header())
+        return payload.getvalue()
+
+    encode_time, payload = _time(encode, repeats)
+    frame = wire.decode_frame(wire.dump(obj))
+    decode_time, clone = _time(lambda: codec.decode(frame), repeats)
+    assert wire.dump(clone) == wire.dump(obj), f"{codec.name}: decode drifted"
+    return encode_time, decode_time, payload
+
+
+def bench_counter_payload(sizes: dict, n_items: int, repeats: int) -> dict:
+    """Counter-array payload MB/s: byte-aligned fast path vs the reference."""
+    from repro.streaming import MisraGries, SpaceSaving
+    from repro.streaming.traffic import zipf_traffic
+
+    universe = 1 << 20
+    stream = next(zipf_traffic(universe, batch_items=n_items, total_items=n_items, rng=4))
+    cases = {}
+    for kind, shapes in sizes.items():
+        for shape in shapes:
+            if kind == "count-min":
+                depth, width = shape
+                obj = CountMinSketch(universe, width, depth, rng=1)
+                label = f"count-min-{depth}x{width}"
+            else:
+                obj = (MisraGries if kind == "misra-gries" else SpaceSaving)(universe, shape)
+                label = f"{kind}-k{shape}"
+            obj.update_many(stream)
+            fast_enc, fast_dec, payload = _codec_times(obj, repeats)
+            with reference_codec_path():
+                ref_enc, ref_dec, ref_payload = _codec_times(obj, repeats)
+            assert payload == ref_payload, f"{label}: fast path changed the payload"
+            mb = obj.size_in_bits() / 8 / 1e6
+            cases[label] = {
+                "payload_bytes": (obj.size_in_bits() + 7) // 8,
+                "encode_seconds": fast_enc,
+                "decode_seconds": fast_dec,
+                "encode_mb_per_s": mb / fast_enc,
+                "decode_mb_per_s": mb / fast_dec,
+                "reference_encode_seconds": ref_enc,
+                "reference_decode_seconds": ref_dec,
+                "reference_encode_mb_per_s": mb / ref_enc,
+                "reference_decode_mb_per_s": mb / ref_dec,
+                "encode_speedup": ref_enc / fast_enc,
+                "decode_speedup": ref_dec / fast_dec,
+            }
+    return {
+        "config": {
+            "universe": universe,
+            "stream": f"{n_items} Zipf(1.2) items",
+            "ids": "20-bit ids, 64-bit counters: every field whole bytes at a byte boundary",
+        },
+        "cases": cases,
+    }
+
+
 def bench_container_ops(n_shards: int, universe: int, k: int, repeats: int) -> dict:
     """Pack / sequential decode / manifest-driven lazy load on a fleet."""
     import io
@@ -322,6 +416,15 @@ def run(quick: bool = False, out_path: Path = DEFAULT_OUT) -> dict:
             "quantized_answers": bench_quantized_answers(20_000, 0.01, repeats),
             "sketch_file_round_trip": bench_round_trip(1024, 16, repeats),
             "sparse_delta": bench_sparse_delta(1 << 16, 16, 20_000, repeats),
+            "counter_payload": bench_counter_payload(
+                {
+                    "count-min": [(4, 4096), (4, 16_384)],
+                    "space-saving": [256, 2048],
+                    "misra-gries": [256, 2048],
+                },
+                50_000,
+                repeats,
+            ),
             "container_ops": bench_container_ops(64, 4096, 64, repeats),
         }
     else:
@@ -330,6 +433,15 @@ def run(quick: bool = False, out_path: Path = DEFAULT_OUT) -> dict:
             "quantized_answers": bench_quantized_answers(100_000, 0.01, repeats),
             "sketch_file_round_trip": bench_round_trip(4096, 24, repeats),
             "sparse_delta": bench_sparse_delta(1 << 20, 32, 200_000, repeats),
+            "counter_payload": bench_counter_payload(
+                {
+                    "count-min": [(4, 4096), (4, 16_384), (4, 65_536)],
+                    "space-saving": [256, 4096, 32_768],
+                    "misra-gries": [256, 4096, 32_768],
+                },
+                262_144,
+                repeats,
+            ),
             "container_ops": bench_container_ops(64, 65_536, 256, repeats),
         }
     tentpole = results["bitwriter_payload"]
@@ -369,6 +481,13 @@ def test_serializer_speedup_quick():
             f"({'delta' if case['v3_delta_encoded'] else 'raw/zlib'})"
         )
         assert case["v3_stored_bytes"] <= case["raw_payload_bytes"]
+    for name, case in record["results"]["counter_payload"]["cases"].items():
+        print(
+            f"counter_payload {name}: encode {case['encode_mb_per_s']:.0f} MB/s "
+            f"(reference {case['reference_encode_mb_per_s']:.1f}), decode "
+            f"{case['decode_mb_per_s']:.0f} MB/s "
+            f"(reference {case['reference_decode_mb_per_s']:.1f})"
+        )
     ops = record["results"]["container_ops"]
     print(
         f"container_ops: {ops['config']['n_shards']} shards in "
@@ -402,6 +521,14 @@ def main(argv: list[str] | None = None) -> int:
             f"sparse_delta {name}: stored ratio "
             f"{case['stored_ratio']:.2f} (v3 stored / raw payload), dump "
             f"{case['dump_seconds'] * 1e3:.1f} ms"
+        )
+    for name, case in record["results"]["counter_payload"]["cases"].items():
+        print(
+            f"counter_payload {name} ({case['payload_bytes']} B): encode "
+            f"{case['encode_mb_per_s']:.0f} MB/s vs reference "
+            f"{case['reference_encode_mb_per_s']:.1f}, decode "
+            f"{case['decode_mb_per_s']:.0f} MB/s vs reference "
+            f"{case['reference_decode_mb_per_s']:.1f}"
         )
     ops = record["results"]["container_ops"]
     print(

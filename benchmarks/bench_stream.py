@@ -17,6 +17,13 @@ Cases:
 * ``queue_behavior``: the bounded-queue stats for a slow-consumer run --
   max resident queue depth (must never exceed the configured bound) and
   producer backpressure wait time, the "bounded RSS" contract in numbers.
+* ``partial_roundtrip``: the per-batch layer split of one multi-worker
+  pipeline batch in the repo benchmark's ``stream_pipeline`` shape
+  (count-min 4 x 65536, a 131072-item Zipf batch, 2 shards): shard
+  ``update_many``, partial encode (``to_bytes``), partial decode
+  (``load_as``) and fold (``merge_summaries``), with the encode and
+  decode also timed on the per-bit reference codec path
+  (``bench_serialize.reference_codec_path``) for the before/after.
 * ``durability_overhead``: socket INGEST throughput into ``serve_in_thread``
   with the write-ahead log off vs on (PR 9's ``--data-dir``), isolating
   the fsync-before-ack price per acknowledged batch.
@@ -197,6 +204,75 @@ def bench_queue_behavior(total_items: int, batch_items: int) -> dict:
     }
 
 
+def bench_partial_roundtrip(repeats: int, shards: int = 2) -> dict:
+    """Per-batch pipeline layers for the count-min 4 x 65536 partial hop."""
+    from bench_serialize import reference_codec_path
+
+    from repro.db.backends import shard_edges
+    from repro.streaming import StreamSummary
+    from repro.streaming.merge import merge_summaries
+
+    universe, width, depth, batch_items = 1 << 20, 65_536, 4, 131_072
+    spec = SummarySpec(kind="count-min", universe=universe, width=width, depth=depth, seed=1)
+    batch = next(
+        zipf_traffic(universe, batch_items=batch_items, total_items=batch_items, rng=5)
+    )
+    edges = shard_edges(batch_items, shards)
+
+    def sketch():
+        partials = []
+        for lo, hi in edges:
+            partial = spec.build()
+            partial.update_many(batch[lo:hi])
+            partials.append(partial)
+        return partials
+
+    def encode(partials):
+        return [partial.to_bytes() for partial in partials]
+
+    def decode(frames):
+        return [wire.load_as(StreamSummary, frame) for frame in frames]
+
+    def fold(partials):
+        merged = spec.build()
+        for partial in partials:
+            merged = merge_summaries(merged, partial)
+        return merged
+
+    sketch_s, partials = _time(sketch, repeats)
+    encode_s, frames = _time(lambda: encode(partials), repeats)
+    decode_s, decoded = _time(lambda: decode(frames), repeats)
+    fold_s, merged = _time(lambda: fold(decoded), repeats)
+    with reference_codec_path():
+        ref_encode_s, ref_frames = _time(lambda: encode(partials), repeats)
+        ref_decode_s, _ = _time(lambda: decode(frames), repeats)
+    assert ref_frames == frames, "fast path changed the partial frames"
+    one_shot = spec.build()
+    one_shot.update_many(batch)
+    assert merged.to_bytes() == one_shot.to_bytes(), "folded partials diverged"
+    codec_s = encode_s + decode_s
+    return {
+        "config": {
+            "summary": f"count-min(width={width}, depth={depth})",
+            "batch_items": batch_items,
+            "shards": shards,
+            "partial_payload_bytes": (partials[0].size_in_bits() + 7) // 8,
+            "partial_frame_bytes": [len(frame) for frame in frames],
+        },
+        "per_batch_seconds": {
+            "sketch": sketch_s,
+            "partial_encode": encode_s,
+            "partial_decode": decode_s,
+            "fold": fold_s,
+        },
+        "reference_per_batch_seconds": {
+            "partial_encode": ref_encode_s,
+            "partial_decode": ref_decode_s,
+        },
+        "codec_speedup": (ref_encode_s + ref_decode_s) / codec_s,
+    }
+
+
 def bench_durability_overhead(
     total_items: int, batch_items: int, repeats: int
 ) -> dict:
@@ -268,6 +344,7 @@ def run(quick: bool = False, out_path: Path = DEFAULT_OUT) -> dict:
         "queue_behavior": bench_queue_behavior(
             min(total_items, 1_000_000), batch_items
         ),
+        "partial_roundtrip": bench_partial_roundtrip(repeats),
         "durability_overhead": bench_durability_overhead(
             min(total_items, 1_000_000), batch_items, repeats
         ),
@@ -285,7 +362,7 @@ def run(quick: bool = False, out_path: Path = DEFAULT_OUT) -> dict:
         )
     record = {
         "benchmark": "stream_pipeline",
-        "pr": 9,
+        "cpu_count": os.cpu_count(),
         "quick": quick,
         "results": results,
     }
@@ -309,12 +386,25 @@ def test_stream_pipeline_quick():
         f"({backends['speedup_process']:.2f}x) "
         f"with {backends['config']['workers']} workers"
     )
+    _print_partial_roundtrip(record["results"]["partial_roundtrip"])
     wal = record["results"]["durability_overhead"]
     print(
         f"durability_overhead: wal off "
         f"{wal['wal_off']['items_per_sec']:,.0f} items/sec, "
         f"wal on {wal['wal_on']['items_per_sec']:,.0f} "
         f"({wal['overhead_ratio']:.2f}x slower)"
+    )
+
+
+def _print_partial_roundtrip(row: dict) -> None:
+    ms = {k: v * 1e3 for k, v in row["per_batch_seconds"].items()}
+    ref = {k: v * 1e3 for k, v in row["reference_per_batch_seconds"].items()}
+    print(
+        f"partial_roundtrip ({row['config']['summary']}, {row['config']['shards']} "
+        f"shards) per batch: sketch {ms['sketch']:.1f} ms, encode "
+        f"{ms['partial_encode']:.1f} ms (reference {ref['partial_encode']:.1f}), "
+        f"decode {ms['partial_decode']:.1f} ms (reference {ref['partial_decode']:.1f}), "
+        f"fold {ms['fold']:.1f} ms"
     )
 
 
@@ -357,6 +447,7 @@ def main(argv: list[str] | None = None) -> int:
         f"max depth {queue['max_queue_depth']}, "
         f"feed wait {queue['feed_wait_s']:.3f}s over {queue['batches']} batches"
     )
+    _print_partial_roundtrip(record["results"]["partial_roundtrip"])
     wal = record["results"]["durability_overhead"]
     print(
         f"durability_overhead ({wal['config']['batches']} INGEST batches of "

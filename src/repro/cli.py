@@ -985,17 +985,35 @@ def _stream_batches(args: argparse.Namespace, stack) -> "object":
     batch_items = (
         DEFAULT_BATCH_ITEMS if args.max_batch_items is None else args.max_batch_items
     )
-    if args.format == "u64":
-        if args.source == "-":
-            stream = sys.stdin.buffer
-        else:
-            stream = stack.enter_context(open(args.source, "rb"))
-        return batches_from_binary(stream, batch_items, max_items=args.max_items)
+    binary = args.format == "u64"
     if args.source == "-":
-        stream = sys.stdin
+        stream = _stdin_reader(stack, binary)
     else:
-        stream = stack.enter_context(open(args.source, "r"))
+        stream = stack.enter_context(open(args.source, "rb" if binary else "r"))
+    if binary:
+        return batches_from_binary(stream, batch_items, max_items=args.max_items)
     return batches_from_text(stream, batch_items, max_items=args.max_items)
+
+
+def _stdin_reader(stack, binary: bool):
+    """stdin through a file object of its own on descriptor 0.
+
+    The pipeline's process pool forks from its sketching thread while
+    this thread blocks in a read.  A forked child's ``multiprocessing``
+    bootstrap closes ``sys.stdin``, which waits on the buffer lock the
+    blocked read held at fork time -- forever.  Reading through a
+    separate object never takes ``sys.stdin``'s lock.  A stdin without a
+    descriptor (an in-memory stand-in) is read directly.
+    """
+    try:
+        fd = sys.stdin.fileno()
+    except (AttributeError, OSError, ValueError):
+        return sys.stdin.buffer if binary else sys.stdin
+    if binary:
+        return stack.enter_context(open(fd, "rb", closefd=False))
+    return stack.enter_context(
+        open(fd, "r", encoding=sys.stdin.encoding, closefd=False)
+    )
 
 
 def _stream_to_server(args: argparse.Namespace, spec, batches) -> int:

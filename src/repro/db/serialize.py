@@ -11,18 +11,24 @@ dependency-free bit stream with the primitives the sketches need:
   ``log(1/epsilon)`` bits per stored frequency (Definition 7's accounting),
   which is exactly what :meth:`BitWriter.write_quantized` uses.
 
-Both ends are vectorized: the writer accumulates whole boolean chunks and
-packs them with one :func:`numpy.packbits` pass at :meth:`BitWriter.getvalue`
-time (no per-bit Python list), and batched integer fields go through a
-single shift-and-mask broadcast per call (:meth:`BitWriter.write_uints` /
-:meth:`BitReader.read_uints`).  The reader is *strict*: the payload's byte
-length must match the declared bit count exactly and the zero padding in the
-final byte must actually be zero, so a frame whose accounting lies about its
-payload is rejected instead of silently accepted.
+The payload is the packed MSB-first bit string, and both ends keep it
+packed.  Counter arrays -- a batched field whose width is a whole number
+of bytes, starting at a byte boundary -- take a *byte-aligned fast path*:
+:meth:`BitWriter.write_uints` appends the values' big-endian byte view and
+:meth:`BitReader.read_uints` decodes a big-endian view of the payload
+bytes, so no per-bit array is built.  Every other field (raw bit arrays,
+sub-byte widths, fields starting mid-byte) goes through the bool reference
+encoding: the writer packs each run of boolean chunks with one
+:func:`numpy.packbits` call at :meth:`BitWriter.getvalue` time, and the
+reader unpacks only the bytes a read covers.  The reader is *strict*: the
+payload's byte length must match the declared bit count exactly and the
+zero padding in the final byte must actually be zero, so a frame whose
+accounting lies about its payload is rejected instead of silently
+accepted.
 
 The reader is also *stream-first*: :meth:`BitReader.windowed` reads
-sequentially from an iterator of byte chunks holding only one window of
-unpacked bits at a time, so a chunked or zlib payload read from a file
+sequentially from an iterator of byte chunks holding only the packed
+windows a read needs, so a chunked or zlib payload read from a file
 decodes without materializing the full byte string.
 
 The module additionally provides the byte-level varint primitives the
@@ -42,7 +48,7 @@ from typing import IO, Iterable, Iterator, Sequence
 import numpy as np
 
 from ..errors import SketchSizeError
-from .bitmatrix import bits_to_int, int_to_bits
+from .bitmatrix import int_to_bits
 
 __all__ = [
     "BitWriter",
@@ -234,12 +240,11 @@ def dequantize_frequency(code: int, epsilon: float) -> float:
     return min(1.0, code * epsilon)
 
 
-def _uints_to_bits(values: np.ndarray, width: int) -> np.ndarray:
-    """``(len(values) * width,)`` boolean array, MSB first per value.
+def _check_uints(values: Sequence[int] | np.ndarray, width: int) -> np.ndarray:
+    """``values`` as a 1-D ``uint64`` array, each checked to fit ``width`` bits.
 
-    One broadcasted shift-and-mask for the whole batch; values must fit in
-    ``width`` bits and ``width`` must be 1..64 (wider single values go
-    through :func:`int_to_bits`, which is arbitrary precision).
+    Batched fields are 1..64 bits wide (wider single values go through
+    :meth:`BitWriter.write_uint`, which is arbitrary precision).
     """
     if not 1 <= width <= 64:
         raise SketchSizeError(f"batched uints need 1 <= width <= 64, got {width}")
@@ -249,6 +254,17 @@ def _uints_to_bits(values: np.ndarray, width: int) -> np.ndarray:
     if width < 64 and vals.size and int(vals.max()) >> width:
         bad = int(vals.max())
         raise SketchSizeError(f"value {bad} does not fit in {width} bits")
+    return vals
+
+
+def _uints_to_bits(values: np.ndarray, width: int) -> np.ndarray:
+    """``(len(values) * width,)`` boolean array, MSB first per value.
+
+    The reference encoding, and the path for fields that are not whole
+    bytes at a byte boundary: one broadcasted shift-and-mask for the
+    whole batch.
+    """
+    vals = _check_uints(values, width)
     shifts = np.arange(width - 1, -1, -1, dtype=np.uint64)
     return ((vals[:, None] >> shifts[None, :]) & np.uint64(1)).astype(bool).reshape(-1)
 
@@ -267,22 +283,69 @@ def _bits_to_uints(bits: np.ndarray, width: int) -> np.ndarray:
     return (fields << shifts[None, :]).sum(axis=1, dtype=np.uint64)
 
 
-class BitWriter:
-    """Append-only bit stream backed by whole numpy chunks.
+def _uints_to_bytes(vals: np.ndarray, width: int) -> bytes:
+    """Checked values as ``width // 8`` big-endian bytes each.
 
-    Writes append boolean chunks to an internal list; nothing is visited
-    per-bit in Python.  :meth:`getvalue` concatenates the chunks once and
-    packs them with a single vectorized :func:`numpy.packbits` call
-    (big-endian within each byte, zero padded to a byte boundary).
+    Equal to ``packbits(_uints_to_bits(vals, width))`` when ``width`` is
+    a multiple of 8, without the per-bit array.
+    """
+    big = vals.astype(">u8")
+    if width == 64:
+        return big.tobytes()
+    return big.view(np.uint8).reshape(-1, 8)[:, 8 - width // 8 :].tobytes()
+
+
+def _bytes_to_uints(data: np.ndarray, width: int) -> np.ndarray:
+    """Inverse of :func:`_uints_to_bytes` over a ``uint8`` array."""
+    if width == 64:
+        return data.view(">u8").astype(np.uint64)
+    wide = np.zeros((data.size * 8 // width, 8), dtype=np.uint8)
+    wide[:, 8 - width // 8 :] = data.reshape(-1, width // 8)
+    return wide.view(">u8").reshape(-1).astype(np.uint64)
+
+
+def _check_padding(last_byte: int, n_bits: int) -> None:
+    """The spare low bits of the final payload byte must be zero."""
+    if int(last_byte) & ((1 << (-n_bits % 8)) - 1):
+        raise SketchSizeError(
+            f"nonzero padding bits after declared bit {n_bits}: "
+            "payload corrupt or misdeclared"
+        )
+
+
+class BitWriter:
+    """Append-only bit stream backed by packed byte blocks and bool chunks.
+
+    A batched field of whole bytes written at a byte boundary
+    (``width % 8 == 0`` in :meth:`write_uints` and :meth:`write_uint`) is
+    appended as its big-endian byte view, with no per-bit array.  Every
+    other write appends a boolean chunk; :meth:`getvalue` packs each run
+    of chunks with one :func:`numpy.packbits` call and joins the runs
+    with the byte blocks.  A run always starts at a byte boundary, so the
+    output is exactly the packed MSB-first bit string, zero padded to a
+    byte boundary.
     """
 
     def __init__(self) -> None:
-        self._chunks: list[np.ndarray] = []
+        self._blocks: list[bytes] = []
+        self._tail: list[np.ndarray] = []
         self._n_bits = 0
+
+    def _pack_tail(self) -> None:
+        """Pack the pending bool chunks: a run that starts on a byte boundary."""
+        if self._tail:
+            self._blocks.append(np.packbits(np.concatenate(self._tail)).tobytes())
+            self._tail = []
+
+    def _aligned_block(self, block: bytes) -> None:
+        """Append whole bytes at the (byte-aligned) cursor."""
+        self._pack_tail()
+        self._blocks.append(block)
+        self._n_bits += 8 * len(block)
 
     def write_bit(self, bit: bool | int) -> None:
         """Append a single bit."""
-        self._chunks.append(np.array([bool(bit)]))
+        self._tail.append(np.array([bool(bit)]))
         self._n_bits += 1
 
     def write_bits(self, bits: np.ndarray) -> None:
@@ -292,16 +355,33 @@ class BitWriter:
         buffers after writing without corrupting the payload.
         """
         arr = np.array(bits, dtype=bool, copy=True).reshape(-1)
-        self._chunks.append(arr)
+        self._tail.append(arr)
         self._n_bits += arr.size
 
     def write_uint(self, value: int, width: int) -> None:
         """Append a ``width``-bit unsigned integer, MSB first."""
-        self.write_bits(int_to_bits(value, width))
+        if width < 0 or width % 8 or self._n_bits % 8:
+            self._tail.append(int_to_bits(value, width))
+            self._n_bits += width
+            return
+        try:
+            block = int(value).to_bytes(width // 8, "big")
+        except OverflowError:
+            raise SketchSizeError(f"value {value} does not fit in {width} bits") from None
+        self._aligned_block(block)
 
     def write_uints(self, values: Sequence[int] | np.ndarray, width: int) -> None:
-        """Append many ``width``-bit unsigned integers in one vectorized pass."""
-        self.write_bits(_uints_to_bits(np.asarray(values), width))
+        """Append many ``width``-bit unsigned integers in one vectorized pass.
+
+        Whole-byte widths at a byte boundary take the byte-view path;
+        other fields go through the bool reference encoding.
+        """
+        vals = _check_uints(values, width)
+        if width % 8 or self._n_bits % 8:
+            self._tail.append(_uints_to_bits(vals, width))
+            self._n_bits += vals.size * width
+        else:
+            self._aligned_block(_uints_to_bytes(vals, width))
 
     def write_quantized(self, value: float, epsilon: float) -> None:
         """Append a frequency quantized to precision ``epsilon``."""
@@ -333,19 +413,27 @@ class BitWriter:
 
     def getvalue(self) -> bytes:
         """Packed payload (zero padded to a byte boundary)."""
-        if not self._n_bits:
-            return b""
-        if len(self._chunks) > 1:
-            # Coalesce so repeated getvalue calls stay cheap.
-            self._chunks = [np.concatenate(self._chunks)]
-        return np.packbits(self._chunks[0].astype(np.uint8)).tobytes()
+        self._pack_tail()
+        payload = b"".join(self._blocks)
+        # Coalesce so repeated getvalue calls stay cheap; a partial final
+        # byte stays a bool chunk so later writes continue after it.
+        self._blocks = [payload]
+        spare = self._n_bits % 8
+        if spare:
+            last = np.frombuffer(payload[-1:], dtype=np.uint8)
+            self._blocks = [payload[:-1]]
+            self._tail = [np.unpackbits(last, count=spare).view(bool)]
+        return payload
 
 
 class BitReader:
     """Strict sequential reader over a payload produced by :class:`BitWriter`.
 
-    The constructor validates the frame-level invariants the accounting
-    rests on:
+    The payload stays packed: a read of a whole-byte field at a byte
+    boundary (:meth:`read_uints` with ``width % 8 == 0``) is a big-endian
+    view of its bytes, and every other read unpacks only the bytes it
+    covers.  The constructor validates the frame-level invariants the
+    accounting rests on:
 
     * ``len(buf)`` must be exactly ``ceil(n_bits / 8)`` -- a payload that is
       too short cannot hold the declared bits, and one that is too long is
@@ -364,14 +452,10 @@ class BitReader:
                 f"payload of {len(buf)} bytes disagrees with declared "
                 f"{n_bits} bits ({need} bytes expected)"
             )
-        raw = np.frombuffer(buf, dtype=np.uint8)
-        bits = np.unpackbits(raw) if raw.size else np.zeros(0, dtype=np.uint8)
-        if bits[n_bits:].any():
-            raise SketchSizeError(
-                f"nonzero padding bits after declared bit {n_bits}: "
-                "payload corrupt or misdeclared"
-            )
-        self._bits = bits[:n_bits].astype(bool)
+        self._buf = np.frombuffer(buf, dtype=np.uint8)
+        if need:
+            _check_padding(self._buf[-1], n_bits)
+        self._total = n_bits
         self._pos = 0
 
     @classmethod
@@ -379,45 +463,63 @@ class BitReader:
         """A reader over an *iterator of byte chunks* with bounded memory.
 
         The chunked/zlib decode path: payload windows arrive from a file
-        (or a decompressor) one at a time, and only the bits of the
-        currently buffered windows are held unpacked.  The same frame
-        invariants as the eager constructor are enforced, just lazily:
-        the chunks must together hold exactly ``ceil(n_bits / 8)`` bytes
-        (a short source raises on read, an oversized one as soon as the
-        excess chunk arrives), and the zero padding in the final byte must
-        be zero.  Pulling the final window also exhausts the source, so a
-        producer that frames its end (checksum trailers, chunk sentinels)
-        gets its finalization code run before the last read returns.
+        (or a decompressor) one at a time, and only the currently
+        buffered windows are held (packed).  The same frame invariants as
+        the eager constructor are enforced, just lazily: the chunks must
+        together hold exactly ``ceil(n_bits / 8)`` bytes (a short source
+        raises on read, an oversized one as soon as the excess chunk
+        arrives), and the zero padding in the final byte must be zero.
+        Pulling the final window also exhausts the source, so a producer
+        that frames its end (checksum trailers, chunk sentinels) gets its
+        finalization code run before the last read returns.
         """
         return _WindowedBitReader(chunks, n_bits)
 
-    def _take(self, count: int) -> np.ndarray:
+    def _check_read(self, count: int) -> None:
         if count < 0:
             raise SketchSizeError(f"cannot read {count} bits")
-        if self._pos + count > len(self._bits):
+        if self._pos + count > self._total:
             raise SketchSizeError(
                 f"bit stream exhausted: wanted {count} bits at offset {self._pos} "
-                f"of {len(self._bits)}"
+                f"of {self._total}"
             )
-        out = self._bits[self._pos : self._pos + count]
+
+    def _advance(self, count: int) -> tuple[np.ndarray, int]:
+        """The packed bytes covering the next ``count`` bits, and the bit
+        offset of the first one in them; moves the cursor past the bits."""
+        self._check_read(count)
+        start = self._pos
         self._pos += count
-        return out
+        return self._buf[start >> 3 : (self._pos + 7) >> 3], start & 7
 
     def read_bit(self) -> bool:
         """Read a single bit."""
-        return bool(self._take(1)[0])
+        return bool(self.read_uint(1))
 
     def read_bits(self, count: int) -> np.ndarray:
         """Read ``count`` bits as a boolean array."""
-        return self._take(count)
+        data, offset = self._advance(count)
+        return np.unpackbits(data, count=offset + count)[offset:].view(bool)
 
     def read_uint(self, width: int) -> int:
         """Read a ``width``-bit unsigned integer, MSB first."""
-        return bits_to_int(self._take(width))
+        data, offset = self._advance(width)
+        if not width:
+            return 0
+        value = int.from_bytes(data.tobytes(), "big")
+        return (value >> (8 * data.size - offset - width)) & ((1 << width) - 1)
 
     def read_uints(self, count: int, width: int) -> np.ndarray:
-        """Read ``count`` consecutive ``width``-bit integers in one pass."""
-        return _bits_to_uints(self._take(count * width), width)
+        """Read ``count`` consecutive ``width``-bit integers in one pass.
+
+        Whole-byte widths at a byte boundary decode as a big-endian view
+        of the packed bytes; other fields go through the bool reference
+        decoding of just the bits they cover.
+        """
+        if width % 8 or self._pos % 8 or not 0 < width <= 64:
+            return _bits_to_uints(self.read_bits(count * width), width)
+        data, _ = self._advance(count * width)
+        return _bytes_to_uints(data, width)
 
     def read_quantized(self, epsilon: float) -> float:
         """Read a frequency quantized to precision ``epsilon``."""
@@ -431,15 +533,16 @@ class BitReader:
     @property
     def remaining(self) -> int:
         """Bits left unread."""
-        return len(self._bits) - self._pos
+        return self._total - self._pos
 
 
 class _WindowedBitReader(BitReader):
     """Sequential reads over a chunk iterator, one window buffered at a time.
 
     Constructed via :meth:`BitReader.windowed`.  Shares every ``read_*``
-    method with the eager reader through the single :meth:`_take`
-    primitive; only buffering differs.
+    method with the eager reader through the single :meth:`_advance`
+    primitive; only buffering differs.  Windows are held packed; a
+    byte that a read ends inside stays at the head of the buffer.
     """
 
     _SENTINEL = object()
@@ -448,11 +551,11 @@ class _WindowedBitReader(BitReader):
         if n_bits < 0:
             raise SketchSizeError(f"n_bits must be non-negative, got {n_bits}")
         self._total = n_bits
+        self._pos = 0
         self._need_bytes = (n_bits + 7) // 8
         self._source: Iterator[bytes] | None = iter(chunks)
         self._pending: deque[np.ndarray] = deque()
-        self._buffered = 0
-        self._consumed = 0
+        self._held = 0
         self._bytes_seen = 0
         if self._need_bytes == 0:
             self._exhaust_source()
@@ -470,7 +573,7 @@ class _WindowedBitReader(BitReader):
         if self._source is None:
             raise SketchSizeError(
                 f"bit stream exhausted: wanted more bits at offset "
-                f"{self._consumed} of {self._total}"
+                f"{self._pos} of {self._total}"
             )
         chunk = next(self._source, self._SENTINEL)
         if chunk is self._SENTINEL:
@@ -486,52 +589,38 @@ class _WindowedBitReader(BitReader):
                 f"payload of >= {self._bytes_seen} bytes disagrees with "
                 f"declared {self._total} bits ({self._need_bytes} bytes expected)"
             )
-        bits = np.unpackbits(np.frombuffer(chunk, dtype=np.uint8))
+        data = np.frombuffer(chunk, dtype=np.uint8)
         if self._bytes_seen == self._need_bytes:
-            keep = self._total - (self._bytes_seen - len(chunk)) * 8
-            if bits[keep:].any():
-                raise SketchSizeError(
-                    f"nonzero padding bits after declared bit {self._total}: "
-                    "payload corrupt or misdeclared"
-                )
-            bits = bits[:keep]
+            _check_padding(data[-1], self._total)
             self._exhaust_source()
-        self._pending.append(bits.astype(bool))
-        self._buffered += bits.size
+        self._pending.append(data)
+        self._held += data.size
 
-    def _take(self, count: int) -> np.ndarray:
-        if count < 0:
-            raise SketchSizeError(f"cannot read {count} bits")
-        if self._consumed + count > self._total:
-            raise SketchSizeError(
-                f"bit stream exhausted: wanted {count} bits at offset "
-                f"{self._consumed} of {self._total}"
-            )
-        while self._buffered < count:
+    def _advance(self, count: int) -> tuple[np.ndarray, int]:
+        self._check_read(count)
+        offset = self._pos & 7
+        need = (offset + count + 7) >> 3
+        while self._held < need:
             self._pull()
-        parts: list[np.ndarray] = []
-        need = count
-        while need:
-            head = self._pending[0]
-            if head.size <= need:
+        if not need:
+            return np.zeros(0, dtype=np.uint8), offset
+        if self._pending[0].size < need:
+            parts, got = [], 0
+            while got < need:
                 parts.append(self._pending.popleft())
-                need -= head.size
-            else:
-                parts.append(head[:need])
-                self._pending[0] = head[need:]
-                need = 0
-        self._consumed += count
-        self._buffered -= count
-        if not parts:
-            return np.zeros(0, dtype=bool)
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+                got += parts[-1].size
+            self._pending.appendleft(np.concatenate(parts))
+        head = self._pending[0]
+        self._pos += count
+        done = (offset + count) >> 3
+        if done == head.size:
+            self._pending.popleft()
+        else:
+            self._pending[0] = head[done:]
+        self._held -= done
+        return head[:need], offset
 
     @property
     def buffered_bits(self) -> int:
-        """Bits currently held unpacked (the window-memory bound under test)."""
-        return self._buffered
-
-    @property
-    def remaining(self) -> int:
-        """Bits left unread."""
-        return self._total - self._consumed
+        """Unread bits currently buffered (the window-memory bound under test)."""
+        return min(8 * self._held - (self._pos & 7), self.remaining)

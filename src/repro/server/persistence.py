@@ -731,11 +731,21 @@ class PersistentStore:
         return seq
 
     # -- compaction ----------------------------------------------------
+    @property
+    def compaction_due(self) -> bool:
+        """Whether ``compact_every`` ops accrued since the last compaction.
+
+        Two integers compared: cheap enough for the server to check on
+        its event loop after every request.
+        """
+        return (
+            self.compact_every is not None
+            and self._ops_since_compact >= self.compact_every
+        )
+
     def maybe_compact(self) -> bool:
-        """Compact if ``compact_every`` ops accrued since the last one."""
-        if self.compact_every is None:
-            return False
-        if self._ops_since_compact < self.compact_every:
+        """Compact if :attr:`compaction_due`; returns whether it did."""
+        if not self.compaction_due:
             return False
         self.compact()
         return True

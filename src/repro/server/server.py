@@ -237,7 +237,7 @@ class SketchServer:
                     break  # mid-frame disconnect or stall: drop this client
                 response = self._dispatch(body)
                 await self._send(writer, response)
-                if self.store is not None:
+                if self.store is not None and self.store.compaction_due:
                     await self._maybe_compact()
                 if self._draining:
                     break  # answered the in-flight request; now drain
@@ -279,7 +279,9 @@ class SketchServer:
         counter keeps accruing, so the next check catches up).  The
         store's locks order any concurrent WAL append correctly, and a
         failed compaction is reported but never kills the connection --
-        the WAL keeps the registry durable without the snapshot.
+        the WAL keeps the registry durable without the snapshot.  The
+        caller checks :attr:`PersistentStore.compaction_due` first, so
+        reads and most writes never pay the executor hop.
         """
         if self._compacting:
             return

@@ -66,10 +66,15 @@ class CountMinSketch(StreamSummary):
         """Hash columns for a whole batch: ``(depth, len(items))`` at once.
 
         Same int64 arithmetic as :meth:`_hashes` (including wraparound), so
-        batch and itemwise updates land on identical counters.
+        batch and itemwise updates land on identical counters.  Computed
+        in place in one ``(depth, n)`` buffer: multi-MB temporaries per
+        batch would each be fresh pages to fault in.
         """
-        vals = (self._a[:, None] * items[None, :] + self._b[:, None]) % _MERSENNE_PRIME
-        return (vals % self.width).astype(np.intp)
+        vals = self._a[:, None] * items[None, :]
+        vals += self._b[:, None]
+        vals %= _MERSENNE_PRIME
+        vals %= self.width
+        return vals.astype(np.intp, copy=False)
 
     def _update(self, item: int) -> None:
         cols = self._hashes(item)

@@ -2340,11 +2340,11 @@ class _CountMinCodec(SketchCodec):
         )
         reader = frame.reader()
         out = CountMinSketch(universe, width, depth, conservative=conservative, rng=0)
-        out._a = reader.read_uints(depth, COUNT_BITS).astype(np.int64)
-        out._b = reader.read_uints(depth, COUNT_BITS).astype(np.int64)
-        out._table = (
-            reader.read_uints(depth * width, COUNT_BITS).astype(np.int64).reshape(depth, width)
-        )
+        # read_uints returns fresh uint64 arrays: reinterpret, don't copy.
+        out._a = reader.read_uints(depth, COUNT_BITS).view(np.int64)
+        out._b = reader.read_uints(depth, COUNT_BITS).view(np.int64)
+        table = reader.read_uints(depth * width, COUNT_BITS).view(np.int64)
+        out._table = table.reshape(depth, width)
         out.stream_length = frame.header.get_int("stream_length")
         return out
 

@@ -880,6 +880,59 @@ class TestStreamCli:
         got = load_as(SpaceSaving, out.read_bytes())
         assert got.stream_length == 6
 
+    def test_stream_stdin_pause_on_process_backend_exits(self, tmp_path):
+        """A stdin stream that stalls mid-way cannot deadlock the pool fork.
+
+        Two batches arrive, then the pipe stays open and silent for about a
+        second, so the process pool forks from the sketching thread while
+        the main thread blocks reading stdin.  The CLI must still exit, and
+        its frame must equal the one-shot update_many frame.
+        """
+        import contextlib
+        import os
+        import signal
+        import subprocess
+        import sys
+        import time
+        from pathlib import Path
+
+        import numpy as np
+
+        import repro
+        from repro.streaming import CountMinSketch
+
+        items = np.random.default_rng(5).integers(0, 4096, 8 * 2048)
+        out = tmp_path / "cms.bin"
+        src_dir = Path(repro.__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(src_dir) + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "stream", "-", "--format", "u64",
+             "--summary", "count-min", "--universe", "4096", "--width", "256",
+             "--depth", "3", "--seed", "7", "--max-batch-items", "2048",
+             "--workers", "2", "--backend", "process", "--out", str(out)],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.DEVNULL,
+            env=env,
+            start_new_session=True,
+        )
+        try:
+            data = items.astype("<u8").tobytes()
+            proc.stdin.write(data[: 2 * 2048 * 8])
+            proc.stdin.flush()
+            time.sleep(1.0)
+            proc.stdin.write(data[2 * 2048 * 8 :])
+            proc.stdin.close()
+            assert proc.wait(timeout=60) == 0
+        finally:
+            # A hung run leaves forked pool workers behind: end them all.
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+        reference = CountMinSketch(4096, 256, 3, rng=7)
+        reference.update_many(items)
+        assert out.read_bytes() == reference.to_bytes()
+
     def test_query_streamed_frame_file_matches_socket(self, tmp_path, capsys):
         """File-path Q on a streamed summary == the socket answer."""
         import numpy as np

@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 from repro import wire
 from repro.db.serialize import encode_uvarint
 from repro.errors import PersistenceError, ProtocolError, ReproError
-from repro.server import SketchRegistry, protocol
+from repro.server import Client, SketchRegistry, protocol, serve_in_thread
 from repro.server.persistence import (
     PersistentStore,
     TruncatedRecordError,
@@ -416,6 +416,57 @@ class TestPersistentStore:
         path.write_bytes(bytes(blob))
         with pytest.raises(PersistenceError):
             PersistentStore(tmp_path / "data").recover(SketchRegistry())
+
+
+class TestServerCompactionCheck:
+    """The durable server hops to its executor only when compaction is due."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        calls = []
+        original = PersistentStore.maybe_compact
+
+        def spy(self):
+            calls.append(self.compaction_due)
+            return original(self)
+
+        monkeypatch.setattr(PersistentStore, "maybe_compact", spy)
+        return calls
+
+    def test_reads_never_call_maybe_compact(self, tmp_path, monkeypatch):
+        from repro.db import Itemset
+
+        calls = self._spy(monkeypatch)
+        store = PersistentStore(tmp_path / "data", compact_every=4)
+        with serve_in_thread(store=store) as handle:
+            with Client(handle.host, handle.port) as client:
+                client.load("mg", wire.dump(_misra_gries()))
+                for i in range(25):
+                    client.estimate("mg", [Itemset([i % 48])])
+        assert calls == []
+        assert store.compaction_due is False
+
+    def test_compact_every_still_compacts(self, tmp_path, monkeypatch):
+        from repro.db import Itemset
+
+        calls = self._spy(monkeypatch)
+        store = PersistentStore(tmp_path / "data", compact_every=3)
+        with serve_in_thread(store=store) as handle:
+            with Client(handle.host, handle.port) as client:
+                client.load("mg", wire.dump(_misra_gries()))
+                client.ingest("mg", np.arange(5, dtype=np.int64) % 48)
+                assert not store.snapshot_path.exists()
+                client.ingest("mg", np.arange(7, dtype=np.int64) % 48)
+                # One connection is served in order: this answer comes
+                # after the compaction the previous request triggered.
+                expected = client.estimate("mg", [Itemset([i]) for i in range(48)])
+        assert calls == [True]
+        assert store.snapshot_path.exists()
+        assert WriteAheadLog(tmp_path / "data" / "wal.log").scan().records == ()
+        fresh = SketchRegistry()
+        info = PersistentStore(tmp_path / "data").recover(fresh)
+        assert (info.snapshot_entries, info.replayed_ops) == (1, 0)
+        assert _estimates(fresh, "mg") == expected
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.db.serialize import (
@@ -304,3 +304,155 @@ class TestWindowedReader:
         assert lazy.remaining == 0
         with pytest.raises(SketchSizeError):
             lazy.read_bit()
+
+
+# ----------------------------------------------------------------------
+# Byte-aligned fast path vs the bool reference encoding.
+# ----------------------------------------------------------------------
+_WIDTHS = st.one_of(st.sampled_from([8, 16, 24, 32, 40, 48, 56, 64]), st.integers(1, 64))
+
+
+@st.composite
+def _write_op(draw):
+    """One writer call: raw bits, a single uint, or a batch of uints."""
+    kind = draw(st.sampled_from(["bits", "uint", "uints"]))
+    if kind == "bits":
+        return ("bits", draw(st.lists(st.booleans(), max_size=15)))
+    width = draw(_WIDTHS)
+    value = st.integers(0, 2**width - 1)
+    if kind == "uint":
+        return ("uint", width, draw(value))
+    return ("uints", width, draw(st.lists(value, max_size=12)))
+
+
+def _write(writer, op):
+    if op[0] == "bits":
+        writer.write_bits(np.array(op[1], dtype=bool))
+    elif op[0] == "uint":
+        writer.write_uint(op[2], op[1])
+    else:
+        writer.write_uints(np.array(op[2], dtype=np.uint64), op[1])
+
+
+def _reference_payload(ops) -> tuple[bytes, int]:
+    """The payload through the per-bit reference: every field as bools."""
+    from repro.db.bitmatrix import int_to_bits
+    from repro.db.serialize import _uints_to_bits
+
+    chunks = [np.zeros(0, dtype=bool)]
+    for op in ops:
+        if op[0] == "bits":
+            chunks.append(np.array(op[1], dtype=bool))
+        elif op[0] == "uint":
+            chunks.append(int_to_bits(op[2], op[1]))
+        else:
+            chunks.append(_uints_to_bits(np.array(op[2], dtype=np.uint64), op[1]))
+    bits = np.concatenate(chunks)
+    return np.packbits(bits).tobytes(), bits.size
+
+
+def _read_back(reader, ops) -> None:
+    for op in ops:
+        if op[0] == "bits":
+            assert reader.read_bits(len(op[1])).tolist() == op[1]
+        elif op[0] == "uint":
+            assert reader.read_uint(op[1]) == op[2]
+        else:
+            got = reader.read_uints(len(op[2]), op[1])
+            assert got.dtype == np.uint64 and got.tolist() == op[2]
+    assert reader.remaining == 0
+
+
+class TestAlignedFastPath:
+    """Whole-byte fields at byte boundaries skip the per-bit arrays."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_write_op(), max_size=12), st.data())
+    def test_property_payload_matches_reference(self, ops, data):
+        writer = BitWriter()
+        snapshot_at = data.draw(st.integers(0, len(ops)))
+        for i, op in enumerate(ops):
+            if i == snapshot_at:
+                writer.getvalue()  # coalescing mid-stream changes nothing
+            _write(writer, op)
+        assert (writer.getvalue(), writer.n_bits) == _reference_payload(ops)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_write_op(), max_size=12), st.integers(1, 7))
+    def test_property_reads_back_eager_and_windowed(self, ops, chunk):
+        writer = BitWriter()
+        for op in ops:
+            _write(writer, op)
+        buf, n_bits = writer.getvalue(), writer.n_bits
+        _read_back(BitReader(buf, n_bits), ops)
+        # Chunks of 1..7 bytes split multi-byte fields across windows.
+        pieces = (buf[i : i + chunk] for i in range(0, len(buf), chunk))
+        _read_back(BitReader.windowed(pieces, n_bits), ops)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_write_op(), min_size=1, max_size=8), st.integers(1, 7))
+    def test_property_bad_lengths_and_padding_rejected(self, ops, chunk):
+        writer = BitWriter()
+        for op in ops:
+            _write(writer, op)
+        buf, n_bits = writer.getvalue(), writer.n_bits
+
+        def windowed(payload):
+            reader = BitReader.windowed(
+                (payload[i : i + chunk] for i in range(0, len(payload), chunk)), n_bits
+            )
+            reader.read_bits(n_bits)
+
+        bad = [buf + b"\x00"]
+        if buf:
+            bad.append(buf[:-1])
+        if n_bits % 8:
+            bad.append(buf[:-1] + bytes([buf[-1] | 1]))  # lowest padding bit set
+        for payload in bad:
+            with pytest.raises(SketchSizeError):
+                BitReader(payload, n_bits)
+            with pytest.raises(SketchSizeError):
+                windowed(payload)
+
+    def test_aligned_fields_build_no_bit_arrays(self, monkeypatch):
+        """A count-min frame encodes and decodes without the bool path."""
+        import repro.db.serialize as serialize
+        from repro import wire
+        from repro.streaming import CountMinSketch
+
+        cms = CountMinSketch(1 << 12, 512, 3, rng=2)
+        cms.update_many(np.random.default_rng(2).integers(0, 1 << 12, 5000))
+        expected = wire.dump(cms)
+
+        def refuse(*args):
+            raise AssertionError("per-bit reference path taken")
+
+        monkeypatch.setattr(serialize, "_uints_to_bits", refuse)
+        monkeypatch.setattr(serialize, "_bits_to_uints", refuse)
+        assert wire.dump(cms) == expected
+        clone = wire.load(expected)
+        np.testing.assert_array_equal(clone._table, cms._table)
+        for compress in (False, True):  # eager and windowed readers
+            stream = io.BytesIO(wire.dump(cms, compress=compress))
+            np.testing.assert_array_equal(wire.load_from(stream)._table, cms._table)
+
+    def test_count_min_load_peak_memory(self):
+        """Loading a 4 x 65536 count-min frame stays within 4x its payload."""
+        import tracemalloc
+
+        from repro import wire
+        from repro.streaming import CountMinSketch
+
+        universe = 1 << 20
+        cms = CountMinSketch(universe, 65536, 4, rng=1)
+        cms.update_many(np.random.default_rng(1).zipf(1.2, 65536) % universe)
+        frame = wire.dump(cms)
+        payload_bytes = (cms.size_in_bits() + 7) // 8
+        tracemalloc.start()
+        try:
+            clone = wire.load(frame)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(clone._table, cms._table)
+        assert peak < 4 * payload_bytes, peak / payload_bytes
